@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -285,3 +286,58 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3"
+
+
+# ------------------------------------------------------------- byte contract
+#
+# Exact stdout and exit code of each case in every format, pinned in
+# cli_golden.json.  "{geometry}" in an argv stands for a file holding the
+# case's geometry text.
+
+GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
+
+CONTRACT = {
+    "segre": (["segre", "--dim", "2", "--summand", "rank=1,weight=2,segre=1,-3,6",
+               "--summand", "rank=2,weight=1,chern=1,3,3"], None),
+    "volume": (["volume", "--n", "2", "--k", "3", "--kd-n", "9"], None),
+    "volume-n1": (["volume", "--n", "1", "--k", "4", "--kd-n", "3/2"], None),
+    "volume-kd0": (["volume", "--n", "2", "--k", "5", "--kd-n", "0"], None),
+    "volume-geometry": (["volume", "--k", "2", "--geometry", "{geometry}"],
+                        "n = 3\nkd_n = 7/2\nneg_dn = -1/3\n"),
+    "volume-missing": (["volume", "--n", "2", "--k", "3"], None),
+    "bound": (["bound", "--n", "3", "--k", "4", "--kd-n", "7/2", "--neg-dn=-1/3"], None),
+    "bound-positive-neg-dn": (["bound", "--n", "2", "--k", "2", "--kd-n", "9",
+                               "--neg-dn", "1"], None),
+    "bound-geometry": (["bound", "--k", "3", "--geometry", "{geometry}"],
+                       "# two cusps\nn = 2\nkd_n = 9\nneg_dn = -1/2\ncomponents = 2\n"),
+    "threshold-n4": (["threshold", "--n", "4", "--neg-dn=-1/3"], None),
+    "threshold-n6": (["threshold", "--n", "6"], None),
+    "threshold-n7": (["threshold", "--n", "7"], None),
+    "table1": (["table1"], None),
+    "ranks": (["ranks", "--n", "2", "--k", "2", "--m", "6"], None),
+    "boundary": (["boundary", "--n", "2", "--k", "2", "--m", "4", "--neg-dn=-1/2",
+                  "--components", "2"], None),
+    "minorder": (["minorder", "--n", "2", "--kd-n", "9", "--neg-dn=-8"], None),
+    "minorder-none": (["minorder", "--n", "2", "--kd-n", "0", "--neg-dn=-1",
+                       "--k-max", "10"], None),
+    "minorder-geometry": (["minorder", "--geometry", "{geometry}", "--k-max", "20"],
+                          "n = 3\nkd_n = 1\nneg_dn = -1/2\ncomponents = 2\n"),
+    "verify": (["verify", "--suite", "identities", "--fast"], None),
+}
+
+
+def contract_argv(case, fmt, tmp_path):
+    argv, geometry = CONTRACT[case]
+    if geometry is not None:
+        path = tmp_path / "geometry.txt"
+        path.write_text(geometry)
+        argv = [str(path) if arg == "{geometry}" else arg for arg in argv]
+    return argv + ["--format", fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("case", list(CONTRACT))
+def test_stdout_bytes_and_exit_code(capsys, tmp_path, case, fmt):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"{case} {fmt}"]
+    code, out, _ = run(capsys, *contract_argv(case, fmt, tmp_path))
+    assert (code, out) == (expected["code"], expected["stdout"])
