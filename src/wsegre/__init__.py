@@ -1,8 +1,6 @@
 """Exact Segre-class calculus for weighted projective bundles and volume
 lower bounds for jet differentials on compactified ball quotients."""
 
-from fractions import Fraction as Rational
-
 from .chow import (
     TotalClass,
     WeightedSummand,
@@ -41,7 +39,6 @@ from .bounds import (
 from .oracles import VerificationReport
 
 __all__ = [
-    "Rational",
     "TotalClass",
     "WeightedSummand",
     "projective_tangent_segre",

@@ -57,6 +57,15 @@ class GeometryInput:
         return tuple(notes)
 
 
+def _bracket(n: int, k: int, kd_n: Fraction, neg_dn: Fraction) -> Fraction:
+    """(K+D)^n/(n+1)^n * sum_repeated(n,k) + (-D)^n * sum_nondecreasing(n,k),
+    the volume bound times (k!)^n.  A zero coefficient skips its sum."""
+    total = kd_n / Fraction((n + 1) ** n) * sum_repeated(n, k) if kd_n else 0
+    if neg_dn:
+        total += neg_dn * sum_nondecreasing(n, k)
+    return total
+
+
 def logarithmic_volume(n: int, k: int, kd_n: Fraction) -> Fraction:
     """Volume of the order-k logarithmic jet algebra:
     (K+D)^n/((n+1)^n (k!)^n) * sum_repeated(n, k), exact.
@@ -66,11 +75,7 @@ def logarithmic_volume(n: int, k: int, kd_n: Fraction) -> Fraction:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    kd_n = Fraction(kd_n)
-    if kd_n == 0:
-        return Fraction(0)
-    denom = Fraction((n + 1) ** n) * Fraction(math.factorial(k)) ** n
-    return kd_n / denom * sum_repeated(n, k)
+    return _bracket(n, k, Fraction(kd_n), 0) / Fraction(math.factorial(k)) ** n
 
 
 def volume_lower_bound(geometry: GeometryInput, k: int) -> Fraction:
@@ -78,10 +83,8 @@ def volume_lower_bound(geometry: GeometryInput, k: int) -> Fraction:
     compactification: interior term plus the (negative) boundary term."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = geometry.n
-    interior = geometry.kd_n / Fraction((n + 1) ** n) * sum_repeated(n, k)
-    boundary = geometry.neg_dn * sum_nondecreasing(n, k)
-    return (interior + boundary) / Fraction(math.factorial(k)) ** n
+    bracket = _bracket(geometry.n, k, geometry.kd_n, geometry.neg_dn)
+    return bracket / Fraction(math.factorial(k)) ** geometry.n
 
 
 def simple_lower_bound(n: int, k: int, kd_n: Fraction) -> float:
@@ -158,13 +161,8 @@ def find_min_k(geometry: GeometryInput, k_max: int) -> Optional[int]:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    n = geometry.n
     for k in range(1, k_max + 1):
-        bracket = (
-            geometry.kd_n / Fraction((n + 1) ** n) * sum_repeated(n, k)
-            + geometry.neg_dn * sum_nondecreasing(n, k)
-        )
-        if bracket > 0:
+        if _bracket(geometry.n, k, geometry.kd_n, geometry.neg_dn) > 0:
             return k
     return None
 

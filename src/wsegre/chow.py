@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 
 def _to_fractions(coeffs: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(c) for c in coeffs)

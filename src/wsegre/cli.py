@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from . import bounds, checks, jets
 from .chow import TotalClass, WeightedSummand, segre_of_weighted_sum
@@ -43,66 +46,90 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational P/Q: {text!r}")
 
 
+@dataclass(frozen=True)
+class _Record:
+    """What a subcommand computed, for ``_emit`` to render in one format.
+
+    A Fraction may stand anywhere in ``inputs`` and ``result``, as a csv cell
+    (it fills the three columns num, den, approx) or as a text line.  Only
+    the requested format reads ``rows`` or ``lines``, so they may be lazy.
+    """
+
+    command: str
+    inputs: dict
+    result: object
+    header: tuple
+    rows: Iterable
+    lines: Iterable
+    warnings: tuple = ()
+    code: int = 0
+
+
+def _digits(value: int) -> str:
+    """Decimal text of an int of any size.  str() refuses ints past the
+    interpreter's digit limit; Decimal is exact there but slower below it."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(decimal.Decimal(value))
+
+
 def _rational_json(value: Fraction) -> dict:
     return {
-        "num": str(value.numerator),
-        "den": str(value.denominator),
+        "num": _digits(value.numerator),
+        "den": _digits(value.denominator),
         "approx": float(value),
     }
 
 
 def _rational_text(value: Fraction) -> str:
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value} (~ {float(value):.12g})"
+        return _digits(value.numerator)
+    return (f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+            f" (~ {float(value):.12g})")
 
 
-def _print_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+def _csv_cells(row):
+    for cell in row:
+        if isinstance(cell, Fraction):
+            yield from (_digits(cell.numerator), _digits(cell.denominator), float(cell))
+        else:
+            yield cell
 
 
-def _print_csv(header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _emit_scalar(args, command: str, inputs: dict, value: Fraction, warnings=()):
-    for note in warnings:
+def _emit(args, record: _Record) -> int:
+    """Write the record to stdout in ``args.format`` and its warnings to
+    stderr; return its exit code."""
+    for note in record.warnings:
         print(f"warning: {note}", file=sys.stderr)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,
-            "command": command,
-            "inputs": inputs,
-            "result": _rational_json(value),
-            "warnings": list(warnings),
+            "command": record.command,
+            "inputs": record.inputs,
+            "result": record.result,
+            "warnings": list(record.warnings),
         }
-        _print_json(payload)
+        text = json.dumps(payload, indent=2, default=_rational_json) + "\n"
     elif args.format == "csv":
-        _print_csv(
-            ("n", "k", "m", "num", "den", "approx"),
-            [(
-                inputs.get("n", ""),
-                inputs.get("k", ""),
-                inputs.get("m", ""),
-                value.numerator,
-                value.denominator,
-                float(value),
-            )],
-        )
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(record.header)
+        writer.writerows(_csv_cells(row) for row in record.rows)
+        text = buf.getvalue()
     else:
-        print(_rational_text(value))
-    return 0
+        text = "".join(
+            f"{_rational_text(line) if isinstance(line, Fraction) else line}\n"
+            for line in record.lines
+        )
+    sys.stdout.write(text)
+    return record.code
 
 
-def _json_inputs(inputs: dict) -> dict:
-    out = {}
-    for key, val in inputs.items():
-        out[key] = _rational_json(val) if isinstance(val, Fraction) else val
-    return out
+def _scalar(command: str, inputs: dict, value: Fraction, warnings=()) -> _Record:
+    row = (inputs.get("n", ""), inputs.get("k", ""), inputs.get("m", ""), value)
+    header = ("n", "k", "m", "num", "den", "approx")
+    return _Record(command, inputs, value, header, [row], [value], warnings)
 
 
 # ------------------------------------------------------------ geometry input
@@ -125,33 +152,31 @@ def _read_geometry_file(path: str) -> dict:
     return values
 
 
-def _resolve_geometry(args) -> bounds.GeometryInput:
-    raw = {}
-    if getattr(args, "geometry", None):
-        raw = _read_geometry_file(args.geometry)
-    def pick(flag, key, convert):
-        val = getattr(args, flag, None)
-        if val is not None:
-            return val
-        if key in raw:
+_INPUT_TYPES = {"n": int, "kd_n": Fraction, "neg_dn": Fraction, "components": int}
+
+
+def _resolve_inputs(args, *keys) -> list:
+    """The value of each key from its flag, else from the geometry file;
+    ``components`` defaults to 1."""
+    raw = {"components": "1"}
+    if args.geometry:
+        raw.update(_read_geometry_file(args.geometry))
+    values = []
+    for key in keys:
+        val = getattr(args, key, None)
+        if val is None:
+            if key not in raw:
+                raise UsageError(f"missing required input {key!r} (flag or geometry file)")
             try:
-                return convert(raw[key])
+                val = _INPUT_TYPES[key](raw[key])
             except (ValueError, ZeroDivisionError):
                 raise UsageError(f"bad value for {key!r} in geometry file")
-        raise UsageError(f"missing required input {key!r} (flag or geometry file)")
-    n = pick("n", "n", int)
-    kd_n = pick("kd_n", "kd_n", Fraction)
-    neg_dn = pick("neg_dn", "neg_dn", Fraction)
-    components = getattr(args, "components", None)
-    if components is None:
-        try:
-            components = int(raw.get("components", 1))
-        except ValueError:
-            raise UsageError("bad value for 'components' in geometry file")
-    try:
-        return bounds.GeometryInput(n=n, kd_n=kd_n, neg_dn=neg_dn, components=components)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        values.append(val)
+    return values
+
+
+def _resolve_geometry(args) -> bounds.GeometryInput:
+    return bounds.GeometryInput(*_resolve_inputs(args, "n", "kd_n", "neg_dn", "components"))
 
 
 # ---------------------------------------------------------------- subcommands
@@ -194,160 +219,93 @@ def _parse_summand(spec: str, dim: int) -> WeightedSummand:
         raise UsageError(f"summand {spec!r}: {exc}")
 
 
-def _cmd_segre(args) -> int:
+def _cmd_segre(args) -> _Record:
     summands = [_parse_summand(spec, args.dim) for spec in args.summand]
     result = segre_of_weighted_sum(summands)
-    if args.format == "json":
-        _print_json({
-            "schema": SCHEMA,
-            "command": "segre",
-            "inputs": {
-                "dim": args.dim,
-                "summands": [
-                    {
-                        "rank": s.rank,
-                        "weight": s.weight,
-                        "segre": [_rational_json(c) for c in s.segre.coeffs],
-                    }
-                    for s in summands
-                ],
-            },
-            "result": {"coeffs": [_rational_json(c) for c in result.coeffs]},
-            "warnings": [],
-        })
-    elif args.format == "csv":
-        _print_csv(
-            ("degree", "num", "den", "approx"),
-            [
-                (d, c.numerator, c.denominator, float(c))
-                for d, c in enumerate(result.coeffs)
-            ],
-        )
-    else:
-        print(str(result))
-    return 0
+    inputs = {
+        "dim": args.dim,
+        "summands": [
+            {"rank": s.rank, "weight": s.weight, "segre": s.segre.coeffs}
+            for s in summands
+        ],
+    }
+    return _Record("segre", inputs, {"coeffs": result.coeffs},
+                   ("degree", "num", "den", "approx"), enumerate(result.coeffs), [result])
 
 
-def _cmd_volume(args) -> int:
-    if getattr(args, "geometry", None) and (args.kd_n is None or args.n is None):
-        raw = _read_geometry_file(args.geometry)
-        try:
-            if args.kd_n is None and "kd_n" in raw:
-                args.kd_n = Fraction(raw["kd_n"])
-            if args.n is None and "n" in raw:
-                args.n = int(raw["n"])
-        except (ValueError, ZeroDivisionError):
-            raise UsageError("bad value in geometry file")
-    if args.n is None or args.kd_n is None:
-        raise UsageError("volume needs --n and --kd-n (or a geometry file)")
-    value = bounds.logarithmic_volume(args.n, args.k, args.kd_n)
-    inputs = _json_inputs({"n": args.n, "k": args.k, "kd_n": args.kd_n})
-    return _emit_scalar(args, "volume", inputs, value)
+def _cmd_volume(args) -> _Record:
+    n, kd_n = _resolve_inputs(args, "n", "kd_n")
+    value = bounds.logarithmic_volume(n, args.k, kd_n)
+    return _scalar("volume", {"n": n, "k": args.k, "kd_n": kd_n}, value)
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> _Record:
     geometry = _resolve_geometry(args)
     value = bounds.volume_lower_bound(geometry, args.k)
-    inputs = _json_inputs({
+    inputs = {
         "n": geometry.n,
         "k": args.k,
         "kd_n": geometry.kd_n,
         "neg_dn": geometry.neg_dn,
         "components": geometry.components,
         "canonical_volume": geometry.canonical_volume,
-    })
-    return _emit_scalar(args, "bound", inputs, value, geometry.warnings)
+    }
+    return _scalar("bound", inputs, value, geometry.warnings)
 
 
-def _cmd_threshold(args) -> int:
+def _cmd_threshold(args) -> _Record:
     if args.n <= 3:
         raise UsageError("thresholds start at n = 4 (below that no bound is claimed)")
     if args.n in (4, 5) and args.neg_dn is None:
         raise UsageError(f"n = {args.n} needs --neg-dn (the signed value (-D)^n)")
-    try:
-        value = bounds.threshold_logk(args.n, args.neg_dn)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    value = bounds.threshold_logk(args.n, args.neg_dn)
+    rounded = round(value)
     try:
         min_k: Optional[int] = math.ceil(math.exp(value))
     except OverflowError:
         min_k = None
     min_k_text = str(min_k) if min_k is not None else "astronomically large (exp overflows)"
-    if args.format == "json":
-        inputs = {"n": args.n}
-        if args.neg_dn is not None:
-            inputs["neg_dn"] = _rational_json(args.neg_dn)
-        _print_json({
-            "schema": SCHEMA,
-            "command": "threshold",
-            "inputs": inputs,
-            "result": {
-                "logk": value,
-                "rounded": round(value),
-                "min_integer_k": min_k,
-            },
-            "warnings": [],
-        })
-    elif args.format == "csv":
-        _print_csv(("n", "logk", "rounded", "min_integer_k"),
-                   [(args.n, repr(value), round(value), min_k_text)])
-    else:
-        print(f"threshold log k: {value!r}")
-        print(f"rounded: {round(value)}")
-        print(f"min integer k: {min_k_text}")
-    return 0
+    inputs = {"n": args.n}
+    if args.neg_dn is not None:
+        inputs["neg_dn"] = args.neg_dn
+    shown = (("threshold log k", value), ("rounded", rounded), ("min integer k", min_k_text))
+    return _Record(
+        "threshold", inputs, {"logk": value, "rounded": rounded, "min_integer_k": min_k},
+        ("n", "logk", "rounded", "min_integer_k"), [(args.n, value, rounded, min_k_text)],
+        (f"{label}: {val}" for label, val in shown),
+    )
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> _Record:
     rows = bounds.threshold_table()
-    if args.format == "json":
-        _print_json({
-            "schema": SCHEMA,
-            "command": "table1",
-            "inputs": {},
-            "result": {
-                "rows": [
-                    {
-                        "n": row.n,
-                        "coefficient": row.coefficient,
-                        "logk": row.logk,
-                        "text": row.text,
-                        "footnotes": list(row.footnotes),
-                    }
-                    for row in rows
-                ],
-            },
-            "warnings": [],
-        })
-    elif args.format == "csv":
-        _print_csv(
-            ("n", "coefficient", "logk", "text"),
-            [
-                (row.n, row.coefficient if row.coefficient is not None else "",
-                 repr(row.logk) if row.logk is not None else "", row.text)
-                for row in rows
-            ],
-        )
-    else:
-        print("n    threshold on log k")
-        notes = []
-        for row in rows:
-            print(f"{row.n:<4} {row.text}")
-            for note in row.footnotes:
-                if note not in notes:
-                    notes.append(note)
-        for i, note in enumerate(notes, start=1):
-            print(f"note {i}: {note}")
-    return 0
+    notes = dict.fromkeys(note for row in rows for note in row.footnotes)
+    result = {
+        "rows": [
+            {
+                "n": row.n,
+                "coefficient": row.coefficient,
+                "logk": row.logk,
+                "text": row.text,
+                "footnotes": list(row.footnotes),
+            }
+            for row in rows
+        ],
+    }
+    lines = chain(
+        ["n    threshold on log k"],
+        (f"{row.n:<4} {row.text}" for row in rows),
+        (f"note {i}: {note}" for i, note in enumerate(notes, start=1)),
+    )
+    cells = ((row.n, row.coefficient, row.logk, row.text) for row in rows)
+    return _Record("table1", {}, result, ("n", "coefficient", "logk", "text"), cells, lines)
 
 
-def _cmd_ranks(args) -> int:
+def _cmd_ranks(args) -> _Record:
     value = jets.jet_rank(args.n, args.k, args.m)
-    inputs = {"n": args.n, "k": args.k, "m": args.m}
-    return _emit_scalar(args, "ranks", inputs, Fraction(value))
+    return _scalar("ranks", {"n": args.n, "k": args.k, "m": args.m}, Fraction(value))
 
 
-def _cmd_boundary(args) -> int:
+def _cmd_boundary(args) -> _Record:
     if args.neg_dn >= 0:
         raise UsageError("boundary data needs a negative signed value (-D)^n")
     boundary = jets.BoundaryData(
@@ -356,83 +314,55 @@ def _cmd_boundary(args) -> int:
         components=args.components if args.components is not None else 1,
     )
     value = jets.boundary_jet_sections(args.k, args.m, boundary)
-    inputs = _json_inputs({
+    inputs = {
         "n": args.n,
         "k": args.k,
         "m": args.m,
         "neg_dn": args.neg_dn,
         "components": boundary.components,
-    })
-    return _emit_scalar(args, "boundary", inputs, value)
+    }
+    return _scalar("boundary", inputs, value)
 
 
-def _cmd_minorder(args) -> int:
+def _cmd_minorder(args) -> _Record:
     geometry = _resolve_geometry(args)
     found = bounds.find_min_k(geometry, args.k_max)
-    for note in geometry.warnings:
-        print(f"warning: {note}", file=sys.stderr)
-    if args.format == "json":
-        _print_json({
-            "schema": SCHEMA,
-            "command": "minorder",
-            "inputs": _json_inputs({
-                "n": geometry.n,
-                "kd_n": geometry.kd_n,
-                "neg_dn": geometry.neg_dn,
-                "components": geometry.components,
-                "k_max": args.k_max,
-            }),
-            "result": {"min_k": found},
-            "warnings": list(geometry.warnings),
-        })
-    elif args.format == "csv":
-        _print_csv(("n", "k_max", "min_k"),
-                   [(geometry.n, args.k_max, found if found is not None else "")])
-    else:
-        print("none" if found is None else str(found))
-    return 0
+    inputs = {
+        "n": geometry.n,
+        "kd_n": geometry.kd_n,
+        "neg_dn": geometry.neg_dn,
+        "components": geometry.components,
+        "k_max": args.k_max,
+    }
+    return _Record("minorder", inputs, {"min_k": found}, ("n", "k_max", "min_k"),
+                   [(geometry.n, args.k_max, found)], ["none" if found is None else found],
+                   geometry.warnings)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Record:
     reports = checks.run_suite(args.suite, fast=args.fast)
-    failed = [r for r in reports if not r.passed]
-    if args.format == "json":
-        _print_json({
-            "schema": SCHEMA,
-            "command": "verify",
-            "inputs": {"suite": args.suite, "fast": args.fast},
-            "result": {
-                "passed": not failed,
-                "checks": [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "lhs": r.lhs,
-                        "rhs": r.rhs,
-                        "detail": r.detail,
-                    }
-                    for r in reports
-                ],
-            },
-            "warnings": [],
-        })
-    elif args.format == "csv":
-        _print_csv(
-            ("name", "passed", "lhs", "rhs", "detail"),
-            [(r.name, r.passed, r.lhs, r.rhs, r.detail) for r in reports],
-        )
-    else:
+    failed = [r.name for r in reports if not r.passed]
+    result = {
+        "passed": not failed,
+        "checks": [
+            {"name": r.name, "passed": r.passed, "lhs": r.lhs, "rhs": r.rhs, "detail": r.detail}
+            for r in reports
+        ],
+    }
+
+    def lines():
         for r in reports:
-            tag = "PASS" if r.passed else "FAIL"
-            line = f"[{tag}] {r.name}: {r.lhs} vs {r.rhs}"
-            if r.detail:
-                line += f" ({r.detail})"
-            print(line)
-        print(f"{len(reports) - len(failed)} passed, {len(failed)} failed "
-              f"(suite: {args.suite}{', fast' if args.fast else ''})")
+            detail = f" ({r.detail})" if r.detail else ""
+            yield f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.lhs} vs {r.rhs}{detail}"
+        yield (f"{len(reports) - len(failed)} passed, {len(failed)} failed "
+               f"(suite: {args.suite}{', fast' if args.fast else ''})")
         if failed:
-            print("first failures: " + "; ".join(r.name for r in failed[:3]))
-    return 2 if failed else 0
+            yield "first failures: " + "; ".join(failed[:3])
+
+    cells = ((r.name, r.passed, r.lhs, r.rhs, r.detail) for r in reports)
+    return _Record("verify", {"suite": args.suite, "fast": args.fast}, result,
+                   ("name", "passed", "lhs", "rhs", "detail"), cells, lines(),
+                   code=2 if failed else 0)
 
 
 # --------------------------------------------------------------------- wiring
@@ -509,11 +439,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return _emit(args, args.func(args))
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

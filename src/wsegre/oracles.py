@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
@@ -66,17 +65,17 @@ def sum_nondecreasing_bruteforce(n: int, k: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
 def count_partitions_max_part(m: int, k: int) -> int:
     """Number of integer partitions of m with all parts <= k (independent
-    counter used against ``jet_rank`` on curves)."""
+    counter used against ``jet_rank`` on curves): the monomials of weighted
+    degree m in one variable of each weight 1..k."""
     if m < 0:
         return 0
     if m == 0:
         return 1
     if k < 1:
         return 0
-    return count_partitions_max_part(m, k - 1) + count_partitions_max_part(m - k, k)
+    return count_weighted_monomials(range(1, min(k, m) + 1), m)
 
 
 def count_weighted_monomials(weights: Sequence[int], m: int) -> int:
@@ -113,13 +112,8 @@ def check_orbifold_h0(
     if steps < 1:
         raise ValueError("m_max must be at least lcm(weights)")
     target = Fraction(math.gcd(*weights), math.prod(weights))
-    ways = [0] * (m_max + 1)
-    ways[0] = 1
-    for a in weights:
-        for x in range(a, m_max + 1):
-            ways[x] += ways[x - a]
     m_final = steps * lcm
-    ratio = ways[m_final] * math.factorial(n) / m_final**n
+    ratio = count_weighted_monomials(weights, m_final) * math.factorial(n) / m_final**n
     passed = abs(ratio / float(target) - 1) <= tolerance
     return VerificationReport(
         name=f"orbifold monomial growth {weights}",

@@ -2,10 +2,12 @@ import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import wsegre.chow as chow
+from wsegre.bounds import GeometryInput, volume_lower_bound
 from wsegre.cli import main
 
 
@@ -341,3 +343,25 @@ def test_stdout_bytes_and_exit_code(capsys, tmp_path, case, fmt):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"{case} {fmt}"]
     code, out, _ = run(capsys, *contract_argv(case, fmt, tmp_path))
     assert (code, out) == (expected["code"], expected["stdout"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_exact_result_past_the_int_str_digit_limit(capsys, fmt):
+    code, out, _ = run(capsys, "bound", "--n", "2", "--k", "2000", "--kd-n", "9",
+                       "--neg-dn", "-1", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        result = json.loads(out)["result"]
+        num, den = result["num"], result["den"]
+    elif fmt == "csv":
+        num, den = out.splitlines()[1].split(",")[3:5]
+    else:
+        num, den = out.split(" ", 1)[0].split("/")
+    assert max(len(num), len(den)) > sys.get_int_max_str_digits()
+    expected = volume_lower_bound(GeometryInput(2, Fraction(9), Fraction(-1)), 2000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(int(num), int(den)) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)

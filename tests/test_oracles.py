@@ -48,6 +48,12 @@ class TestPartitionCounter:
         assert count_partitions_max_part(4, 4) == 5
         assert count_partitions_max_part(0, 3) == 1
 
+    def test_large_m_and_edge_values(self):
+        assert count_partitions_max_part(3000, 1) == 1
+        assert count_partitions_max_part(3000, 2) == 1501
+        assert count_partitions_max_part(-1, 3) == 0
+        assert count_partitions_max_part(4, 0) == 0
+
 
 class TestWeightedMonomials:
     def test_values(self):
