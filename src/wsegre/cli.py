@@ -46,7 +46,7 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational P/Q: {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Record:
     """What a subcommand computed, for ``_emit`` to render in one format.
 
@@ -72,14 +72,6 @@ def _digits(value: int) -> str:
         return str(value)
     except ValueError:
         return str(decimal.Decimal(value))
-
-
-def _rational_json(value: Fraction) -> dict:
-    return {
-        "num": _digits(value.numerator),
-        "den": _digits(value.denominator),
-        "approx": float(value),
-    }
 
 
 def _rational_text(value: Fraction) -> str:
@@ -110,7 +102,11 @@ def _emit(args, record: _Record) -> int:
             "result": record.result,
             "warnings": list(record.warnings),
         }
-        text = json.dumps(payload, indent=2, default=_rational_json) + "\n"
+        text = json.dumps(payload, indent=2, default=lambda value: {
+            "num": _digits(value.numerator),
+            "den": _digits(value.denominator),
+            "approx": float(value),
+        }) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
