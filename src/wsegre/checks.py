@@ -2,27 +2,53 @@
 
 Each check returns a ``VerificationReport``.  Suites are deterministic:
 randomized checks draw from a fixed seed, and checks run in registration
-order.  ``fast=True`` shrinks ranges so the whole run stays well under a
-minute; the full run widens them.
+order.  ``fast=True`` shrinks ranges; the full run widens them.  On a 2-vCPU
+shared Xeon with Python 3.11 the fast suites take about 0.16 s in process
+(0.3 s for a whole ``wsegre verify --fast`` call) and the full suites about
+1.1 s (1.3 s for ``wsegre verify``).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import bounds, chow, jets, oracles
 from .bounds import GAMMA, PI
-from .combinatorics import harmonic, sum_nondecreasing, sum_repeated
+from .combinatorics import _product_coefficients, harmonic, sum_nondecreasing, sum_repeated
 from .oracles import VerificationReport
 
 _SEED = 20230704
 
 
+_LEADING_DIGITS = 20
+
+
+def _show(value) -> str:
+    """``str(value)``, except that an integer, numerator or denominator past
+    the int-to-str digit limit shows as its leading digits and digit count."""
+    try:
+        return str(value)
+    except ValueError:
+        value = Fraction(value)
+    parts = [value.numerator] + ([value.denominator] if value.denominator != 1 else [])
+    return "/".join(_show_int(part) for part in parts)
+
+
+def _show_int(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:
+        sign, digits, _ = Decimal(value).as_tuple()
+        lead = "".join(map(str, digits[:_LEADING_DIGITS]))
+        return f"{'-' if sign else ''}{lead}... ({len(digits)} digits)"
+
+
 def _report(name: str, passed: bool, lhs, rhs, detail: str = "") -> VerificationReport:
-    return VerificationReport(name, passed, str(lhs), str(rhs), detail)
+    return VerificationReport(name, passed, _show(lhs), _show(rhs), detail)
 
 
 def _random_class(rng: random.Random, dim: int, unit_constant=False) -> chow.TotalClass:
@@ -44,13 +70,17 @@ def check_ring_axioms(trials: int = 40) -> VerificationReport:
         x = _random_class(rng, dim)
         y = _random_class(rng, dim)
         z = _random_class(rng, dim)
-        if x * y != y * x:
-            return _report("class ring axioms", False, x * y, y * x, "commutativity")
-        if (x * y) * z != x * (y * z):
-            return _report("class ring axioms", False, (x * y) * z, x * (y * z), "associativity")
+        xy, yx = x * y, y * x
+        if xy != yx:
+            return _report("class ring axioms", False, xy, yx, "commutativity")
+        left, right = xy * z, x * (y * z)
+        if left != right:
+            return _report("class ring axioms", False, left, right, "associativity")
         unit = chow.TotalClass.unit(dim)
-        if x.inverse() * x != unit or x * x.inverse() != unit:
-            return _report("class ring axioms", False, x * x.inverse(), unit, "two-sided inverse")
+        inv = x.inverse()
+        for product in (inv * x, x * inv):
+            if product != unit:
+                return _report("class ring axioms", False, product, unit, "two-sided inverse")
     return _report(
         "class ring axioms", True, f"{trials} random triples", "commutative, associative, invertible"
     )
@@ -88,11 +118,9 @@ def check_whitney_weight_one(trials: int = 30) -> VerificationReport:
         plain = chow.TotalClass.unit(dim)
         for s in classes:
             plain = plain * s
-        if chow.segre_of_weighted_sum(summands) != plain:
-            return _report(
-                "weight-one Whitney product", False,
-                chow.segre_of_weighted_sum(summands), plain, f"dim {dim}",
-            )
+        got = chow.segre_of_weighted_sum(summands)
+        if got != plain:
+            return _report("weight-one Whitney product", False, got, plain, f"dim {dim}")
     return _report(
         "weight-one Whitney product", True,
         f"{trials} random sums", "prefactor 1, plain product",
@@ -114,11 +142,9 @@ def check_volume_decomposition(trials: int = 25) -> VerificationReport:
         )
         k = rng.randint(1, 6)
         via_parts = bounds.logarithmic_volume(g.n, k, g.kd_n) + g.neg_dn * jets.boundary_coeff(g.n, k)
-        if bounds.volume_lower_bound(g, k) != via_parts:
-            return _report(
-                "volume bound decomposition", False,
-                bounds.volume_lower_bound(g, k), via_parts, f"{g}, k={k}",
-            )
+        whole = bounds.volume_lower_bound(g, k)
+        if whole != via_parts:
+            return _report("volume bound decomposition", False, whole, via_parts, f"{g}, k={k}")
     return _report(
         "volume bound decomposition", True,
         f"{trials} random geometries", "interior + boundary parts, bit-exact",
@@ -129,8 +155,9 @@ def check_harmonic_recurrence(trials: int = 50) -> VerificationReport:
     rng = random.Random(_SEED + 4)
     for _ in range(trials):
         k = rng.randint(2, 400)
-        if harmonic(k) - harmonic(k - 1) != Fraction(1, k):
-            return _report("harmonic recurrence", False, harmonic(k) - harmonic(k - 1), Fraction(1, k), f"k={k}")
+        step = harmonic(k) - harmonic(k - 1)
+        if step != Fraction(1, k):
+            return _report("harmonic recurrence", False, step, Fraction(1, k), f"k={k}")
     return _report("harmonic recurrence", True, f"{trials} random k", "H_k - H_(k-1) = 1/k")
 
 
@@ -159,18 +186,16 @@ def check_boundary_small_cases() -> VerificationReport:
 def check_sum_oracles(limit: int = 4) -> VerificationReport:
     for n in range(1, limit + 1):
         for k in range(1, limit + 1):
-            if sum_repeated(n, k) != oracles.sum_repeated_bruteforce(n, k):
-                return _report(
-                    "reciprocal sums vs enumeration", False,
-                    sum_repeated(n, k), oracles.sum_repeated_bruteforce(n, k),
-                    f"repeated alphabet, n={n}, k={k}",
-                )
-            if sum_nondecreasing(n, k) != oracles.sum_nondecreasing_bruteforce(n, k):
-                return _report(
-                    "reciprocal sums vs enumeration", False,
-                    sum_nondecreasing(n, k), oracles.sum_nondecreasing_bruteforce(n, k),
-                    f"non-decreasing tuples, n={n}, k={k}",
-                )
+            for label, fast, brute in (
+                ("repeated alphabet", sum_repeated, oracles.sum_repeated_bruteforce),
+                ("non-decreasing tuples", sum_nondecreasing, oracles.sum_nondecreasing_bruteforce),
+            ):
+                got, expected = fast(n, k), brute(n, k)
+                if got != expected:
+                    return _report(
+                        "reciprocal sums vs enumeration", False, got, expected,
+                        f"{label}, n={n}, k={k}",
+                    )
     return _report(
         "reciprocal sums vs enumeration", True,
         f"all n, k <= {limit}", "generating functions equal brute force",
@@ -180,11 +205,10 @@ def check_sum_oracles(limit: int = 4) -> VerificationReport:
 def check_jet_rank_partitions(m_max: int = 30, k_max: int = 6) -> VerificationReport:
     for k in range(1, k_max + 1):
         for m in range(m_max + 1):
-            if jets.jet_rank(1, k, m) != oracles.count_partitions_max_part(m, k):
+            rank, count = jets.jet_rank(1, k, m), oracles.count_partitions_max_part(m, k)
+            if rank != count:
                 return _report(
-                    "curve jet ranks vs partition counts", False,
-                    jets.jet_rank(1, k, m), oracles.count_partitions_max_part(m, k),
-                    f"k={k}, m={m}",
+                    "curve jet ranks vs partition counts", False, rank, count, f"k={k}, m={m}"
                 )
     return _report(
         "curve jet ranks vs partition counts", True,
@@ -196,10 +220,10 @@ def check_rank_telescoping(l_max: int = 20) -> VerificationReport:
     for n in range(2, 9):
         for l in range(l_max + 1):
             lhs = sum(math.comb(j + n - 2, n - 2) for j in range(l + 1))
-            if lhs != math.comb(l + n - 1, n - 1):
+            rhs = math.comb(l + n - 1, n - 1)
+            if lhs != rhs:
                 return _report(
-                    "symmetric power rank telescoping", False,
-                    lhs, math.comb(l + n - 1, n - 1), f"n={n}, l={l}",
+                    "symmetric power rank telescoping", False, lhs, rhs, f"n={n}, l={l}"
                 )
     return _report(
         "symmetric power rank telescoping", True,
@@ -295,10 +319,10 @@ def check_interior_chain(
                 return _report(
                     "interior sum chain", False, lhs, mid, f"exact step, n={n}, k={k}"
                 )
-            if float(mid) < (n + 1) ** n * logterm**n * (1 - 1e-12):
+            approx, floor = float(mid), (n + 1) ** n * logterm**n
+            if approx < floor * (1 - 1e-12):
                 return _report(
-                    "interior sum chain", False, float(mid),
-                    (n + 1) ** n * logterm**n, f"float step, n={n}, k={k}",
+                    "interior sum chain", False, approx, floor, f"float step, n={n}, k={k}"
                 )
     return _report(
         "interior sum chain", True,
@@ -315,32 +339,37 @@ def _boundary_rhs(n: int, k: int) -> float:
 def check_boundary_chain(
     k_dense: int = 100, k_spots: Sequence[int] = (), sweep_to: int = 10**4
 ) -> VerificationReport:
+    degrees = range(3, 9)
     for k in list(range(2, k_dense + 1)) + list(k_spots):
-        for n in range(3, 9):
-            if float(sum_nondecreasing(n, k)) > _boundary_rhs(n, k) * (1 + 1e-12):
+        # e[n] = sum_nondecreasing(n, k) for every n, from one series
+        e = _product_coefficients(degrees[-1], k, 1)
+        for n in degrees:
+            value, bound = float(e[n]), _boundary_rhs(n, k)
+            if value > bound * (1 + 1e-12):
                 return _report(
-                    "boundary sum upper bound", False,
-                    float(sum_nondecreasing(n, k)), _boundary_rhs(n, k),
-                    f"exact value, n={n}, k={k}",
+                    "boundary sum upper bound", False, value, bound, f"exact value, n={n}, k={k}"
                 )
-    # dense float sweep: incremental truncated product, one pass per n
-    for n in range(3, 9):
-        coeffs = [1.0] + [0.0] * n
-        for k in range(1, sweep_to + 1):
-            powers = [1.0 / k**i for i in range(n + 1)]
-            new = [0.0] * (n + 1)
-            for a in range(n + 1):
-                ca = coeffs[a]
-                if ca == 0.0:
-                    continue
-                for b in range(n + 1 - a):
-                    new[a + b] += ca * powers[b]
-            coeffs = new
-            if k >= 2 and coeffs[n] > _boundary_rhs(n, k) * (1 + 1e-9):
-                return _report(
-                    "boundary sum upper bound", False,
-                    coeffs[n], _boundary_rhs(n, k), f"float sweep, n={n}, k={k}",
-                )
+    # dense float sweep: c holds the coefficients of prod_{j<=k} (1 - x/j)^(-1)
+    # up to x^8; multiplying by 1/(1 - x/k) in place is c_d += c_(d-1)/k for d
+    # increasing.  The report names the smallest failing n at its first k.
+    first_failure = {}
+    c = [1.0] + [0.0] * degrees[-1]
+    for k in range(1, sweep_to + 1):
+        for d in range(1, len(c)):
+            c[d] += c[d - 1] / k
+        if k < 2:
+            continue
+        for n in degrees:
+            if n not in first_failure:
+                bound = _boundary_rhs(n, k)
+                if c[n] > bound * (1 + 1e-9):
+                    first_failure[n] = (c[n], bound, k)
+    if first_failure:
+        n = min(first_failure)
+        value, bound, k = first_failure[n]
+        return _report(
+            "boundary sum upper bound", False, value, bound, f"float sweep, n={n}, k={k}"
+        )
     return _report(
         "boundary sum upper bound", True,
         f"exact on k <= {k_dense} plus {list(k_spots)}; float sweep to k = {sweep_to}",
@@ -349,6 +378,8 @@ def check_boundary_chain(
 
 
 def check_harmonic_bracketing(k_max: int = 10**6) -> VerificationReport:
+    log = math.log
+    floor, ceiling = GAMMA - 1e-12, GAMMA + 0.5 + 1e-12
     total = 0.0
     comp = 0.0
     lo = math.inf
@@ -358,10 +389,12 @@ def check_harmonic_bracketing(k_max: int = 10**6) -> VerificationReport:
         t = total + y
         comp = (t - total) - y
         total = t
-        gap = total - math.log(k)
-        lo = min(lo, gap)
-        hi = max(hi, gap)
-        if not (GAMMA - 1e-12 < gap <= GAMMA + 0.5 + 1e-12):
+        gap = t - log(k)
+        if gap < lo:
+            lo = gap
+        if gap > hi:
+            hi = gap
+        if not floor < gap <= ceiling:
             return _report(
                 "harmonic bracketing", False, gap, (GAMMA, GAMMA + 0.5), f"k={k}"
             )
@@ -387,11 +420,15 @@ def check_partition_power_growth(fast: bool = False) -> VerificationReport:
 
 def check_monotone_sums(n_max: int = 4, k_max: int = 25) -> VerificationReport:
     for n in range(1, n_max + 1):
+        prev = {"repeated": sum_repeated(n, 1), "non-decreasing": sum_nondecreasing(n, 1)}
         for k in range(1, k_max):
-            if not sum_repeated(n, k + 1) > sum_repeated(n, k):
-                return _report("sums increase with k", False, sum_repeated(n, k + 1), sum_repeated(n, k), f"repeated, n={n}, k={k}")
-            if not sum_nondecreasing(n, k + 1) > sum_nondecreasing(n, k):
-                return _report("sums increase with k", False, sum_nondecreasing(n, k + 1), sum_nondecreasing(n, k), f"non-decreasing, n={n}, k={k}")
+            for label, total in (("repeated", sum_repeated), ("non-decreasing", sum_nondecreasing)):
+                cur = total(n, k + 1)
+                if not cur > prev[label]:
+                    return _report(
+                        "sums increase with k", False, cur, prev[label], f"{label}, n={n}, k={k}"
+                    )
+                prev[label] = cur
     return _report("sums increase with k", True, f"n <= {n_max}, k < {k_max}", "strict growth in k")
 
 
@@ -423,10 +460,10 @@ def check_threshold_consistency() -> VerificationReport:
             return _report(
                 "threshold consistency", False, linear, goal, f"root condition, n={n}"
             )
-        if not bounds.boundary_factor(t, n) < goal**n * 1.001:
+        factor = bounds.boundary_factor(t, n)
+        if not factor < goal**n * 1.001:
             return _report(
-                "threshold consistency", False,
-                bounds.boundary_factor(t, n), goal**n, f"factor at threshold, n={n}",
+                "threshold consistency", False, factor, goal**n, f"factor at threshold, n={n}"
             )
         j_half = t / 2 + GAMMA
         linear_half = 1 + ((PI * PI / 6) * (n - 2) * math.factorial(n) + 1) / j_half

@@ -50,8 +50,8 @@ def _scaled_power_sum(k: int, i: int) -> int:
     return sum((L // j) ** i for j in range(1, k + 1))
 
 
-def _product_coefficient(n: int, k: int, mult: int) -> Fraction:
-    """Coefficient of x^n in prod_{j=1..k} (1 - x/j)^(-mult)."""
+def _product_coefficients(n: int, k: int, mult: int) -> list[Fraction]:
+    """Coefficients e_0..e_n of prod_{j=1..k} (1 - x/j)^(-mult)."""
     L = _lcm_upto(k)
     p = [None] + [
         Fraction(_scaled_power_sum(k, i), L**i) for i in range(1, n + 1)
@@ -59,7 +59,26 @@ def _product_coefficient(n: int, k: int, mult: int) -> Fraction:
     e = [Fraction(1)]
     for d in range(1, n + 1):
         e.append(sum(mult * p[i] * e[d - i] for i in range(1, d + 1)) / d)
-    return e[n]
+    return e
+
+
+def _part_count_moments(n: int, k: int, m: int) -> list[list[int]]:
+    """Moments S[a][x] = sum of J^a, a = 0..n, over the partitions of x <= m
+    into parts <= k, where J is the number of parts.
+
+    Adding a part of size t maps J to J + 1, so in unbounded-knapsack order
+    S[a][x] += sum_b C(a, b) S[b][x - t]; the table holds (n+1)(m+1) ints.
+    """
+    S = [[0] * (m + 1) for _ in range(n + 1)]
+    S[0][0] = 1
+    binom = [[math.comb(a, b) for b in range(a + 1)] for a in range(n + 1)]
+    for t in range(1, k + 1):
+        for x in range(t, m + 1):
+            prev = [S[b][x - t] for b in range(n + 1)]
+            for a in range(n + 1):
+                row = binom[a]
+                S[a][x] += sum(row[b] * prev[b] for b in range(a + 1))
+    return S
 
 
 def sum_repeated(n: int, k: int) -> Fraction:
@@ -71,7 +90,7 @@ def sum_repeated(n: int, k: int) -> Fraction:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    return _product_coefficient(n, k, n + 1)
+    return _product_coefficients(n, k, n + 1)[n]
 
 
 def sum_nondecreasing(n: int, k: int) -> Fraction:
@@ -82,7 +101,7 @@ def sum_nondecreasing(n: int, k: int) -> Fraction:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    return _product_coefficient(n, k, 1)
+    return _product_coefficients(n, k, 1)[n]
 
 
 def weighted_partitions(k: int, m: int) -> Iterator[tuple[int, ...]]:

@@ -16,7 +16,12 @@ from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 from .chow import weighted_tangent_top_segre
-from .combinatorics import sum_nondecreasing, sum_repeated, weighted_partitions
+from .combinatorics import (
+    _part_count_moments,
+    sum_nondecreasing,
+    sum_repeated,
+    weighted_partitions,
+)
 
 ENUMERATION_GUARD = 10**7
 
@@ -148,27 +153,32 @@ def check_partition_power_growth(
     required to stay below 1 + slack/r over the top decade [r_max/10, r_max];
     the worst normalized excess r*(ratio-1) over that window is reported,
     along with the first r from which ratio <= 1 + slack/r holds onward.
+    The sums for every r <= r_max come from one part-count moment table
+    (``partition_power_sum`` enumerates each r instead).
     """
     if r_max < 10:
         raise ValueError("r_max must be >= 10")
     lead = Fraction(1, math.factorial(k)) * sum_nondecreasing(n, k)
+    powers = _part_count_moments(n, k, r_max)[n]
+    e = n + k - 1
+    # ratio = (powers[r] / n!) / (lead * r^e / e!) = (num/den) * powers[r] / r^e
+    scale = Fraction(math.factorial(e), math.factorial(n)) / lead
+    num, den = scale.numerator, scale.denominator
+    limit = Fraction(slack)
     window_start = r_max // 10
     worst = Fraction(0)
     hold_from: Optional[int] = None
     ok = True
     for r in range(1, r_max + 1):
-        ratio = partition_power_sum(n, k, r) / (
-            lead * Fraction(r ** (n + k - 1), math.factorial(n + k - 1))
-        )
-        excess = (ratio - 1) * r
-        if excess <= slack:
+        excess = Fraction(num * powers[r] - den * r**e, den * r ** (e - 1))
+        if excess <= limit:
             if hold_from is None:
                 hold_from = r
         else:
             hold_from = None
         if r >= window_start:
             worst = max(worst, excess)
-            if excess > slack:
+            if excess > limit:
                 ok = False
     return VerificationReport(
         name=f"partition power growth (n={n}, k={k})",

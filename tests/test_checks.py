@@ -2,9 +2,12 @@
 field, so that a faster evaluation of a check must reproduce its report
 exactly."""
 
+from fractions import Fraction
+
 import pytest
 
 from wsegre import checks, oracles
+from wsegre.cli import main
 from wsegre.combinatorics import sum_nondecreasing
 
 RHS_BOUNDARY = "sum <= (j+1/2)^n/n! + (pi^2/6)(n-2)(j+3/2)^(n-2)"
@@ -114,3 +117,23 @@ def test_boundary_exact_failure_names_first_k_then_smallest_n(monkeypatch):
     assert not report.passed
     assert report.detail == "exact value, n=7, k=5"
     assert report.lhs == str(float(sum_nondecreasing(7, 5)))
+
+
+HUGE = Fraction(10**5000 + 1, 3)
+HUGE_TEXT = "10000000000000000000... (5001 digits)/3"
+
+
+def test_failure_report_past_the_int_str_digit_limit(monkeypatch):
+    monkeypatch.setattr(checks, "sum_repeated", lambda n, k: HUGE)
+    report = checks.check_sum_oracles(2)
+    assert _fields(report) == (
+        "reciprocal sums vs enumeration", False, HUGE_TEXT, "2",
+        "repeated alphabet, n=1, k=1",
+    )
+
+
+def test_verify_reports_a_huge_failure_instead_of_raising(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "sum_repeated", lambda n, k: HUGE)
+    assert main(["verify", "--suite", "oracles", "--fast"]) == 2
+    out = capsys.readouterr().out
+    assert f"[FAIL] reciprocal sums vs enumeration: {HUGE_TEXT} vs 2" in out
