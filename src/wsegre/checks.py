@@ -22,8 +22,6 @@ from .combinatorics import _product_coefficients, harmonic, sum_nondecreasing, s
 from .oracles import VerificationReport
 
 _SEED = 20230704
-
-
 _LEADING_DIGITS = 20
 
 
@@ -353,12 +351,10 @@ def check_boundary_chain(
     # up to x^8; multiplying by 1/(1 - x/k) in place is c_d += c_(d-1)/k for d
     # increasing.  The report names the smallest failing n at its first k.
     first_failure = {}
-    c = [1.0] + [0.0] * degrees[-1]
-    for k in range(1, sweep_to + 1):
+    c = [1.0] * (degrees[-1] + 1)  # 1/(1 - x), the product at k = 1
+    for k in range(2, sweep_to + 1):
         for d in range(1, len(c)):
             c[d] += c[d - 1] / k
-        if k < 2:
-            continue
         for n in degrees:
             if n not in first_failure:
                 bound = _boundary_rhs(n, k)
@@ -482,10 +478,10 @@ def check_simple_bound_dominated(n_max: int = 5, k_max: int = 100) -> Verificati
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
             simple = bounds.simple_lower_bound(n, k, Fraction(1))
-            exact = bounds.logarithmic_volume(n, k, Fraction(1))
-            if simple > float(exact) * (1 + 1e-9):
+            exact = float(bounds.logarithmic_volume(n, k, Fraction(1)))
+            if simple > exact * (1 + 1e-9):
                 return _report(
-                    "open bound below exact volume", False, simple, float(exact), f"n={n}, k={k}"
+                    "open bound below exact volume", False, simple, exact, f"n={n}, k={k}"
                 )
     return _report(
         "open bound below exact volume", True,
