@@ -161,10 +161,11 @@ def check_partition_power_growth(
     lead = Fraction(1, math.factorial(k)) * sum_nondecreasing(n, k)
     powers = _part_count_moments(n, k, r_max)[n]
     e = n + k - 1
-    # ratio = (powers[r] / n!) / (lead * r^e / e!) = (num/den) * powers[r] / r^e
+    # ratio = (powers[r] / n!) / (lead * r^e / e!) = num * powers[r] / (den * r^e),
+    # so excess = r * (ratio - 1) is one Fraction per r
     scale = Fraction(math.factorial(e), math.factorial(n)) / lead
     num, den = scale.numerator, scale.denominator
-    limit = Fraction(slack)
+    limit = Fraction(slack)  # one conversion instead of one per comparison
     window_start = r_max // 10
     worst = Fraction(0)
     hold_from: Optional[int] = None
