@@ -74,17 +74,26 @@ def _digits(value: int) -> str:
         return str(decimal.Decimal(value))
 
 
+def _approx(value: Fraction) -> Optional[float]:
+    """float(value), or None where value lies beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def _rational_text(value: Fraction) -> str:
     if value.denominator == 1:
         return _digits(value.numerator)
-    return (f"{_digits(value.numerator)}/{_digits(value.denominator)}"
-            f" (~ {float(value):.12g})")
+    text = f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+    approx = _approx(value)
+    return text if approx is None else f"{text} (~ {approx:.12g})"
 
 
 def _csv_cells(row):
     for cell in row:
         if isinstance(cell, Fraction):
-            yield from (_digits(cell.numerator), _digits(cell.denominator), float(cell))
+            yield from (_digits(cell.numerator), _digits(cell.denominator), _approx(cell))
         else:
             yield cell
 
@@ -105,7 +114,7 @@ def _emit(args, record: _Record) -> int:
         text = json.dumps(payload, indent=2, default=lambda value: {
             "num": _digits(value.numerator),
             "den": _digits(value.denominator),
-            "approx": float(value),
+            "approx": _approx(value),
         }) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
@@ -436,7 +445,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _emit(args, args.func(args))
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 def harmonic(k: int) -> Fraction:
@@ -32,7 +32,7 @@ def harmonic(k: int) -> Fraction:
     """
     if k <= 0:
         raise ValueError("harmonic number needs k >= 1")
-    return Fraction(_scaled_power_sum(k, 1), _lcm_upto(k))
+    return sum_nondecreasing(1, k)
 
 
 @lru_cache(maxsize=None)
@@ -62,23 +62,29 @@ def _product_coefficients(n: int, k: int, mult: int) -> list[Fraction]:
     return e
 
 
-def _part_count_moments(n: int, k: int, m: int) -> list[list[int]]:
-    """Moments S[a][x] = sum of J^a, a = 0..n, over the partitions of x <= m
-    into parts <= k, where J is the number of parts.
+def _part_count_sums(values: Sequence[int], k: int, m: int) -> list[int]:
+    """Sum of F(J) over the partitions of each x = 0..m into parts <= k, with
+    J the number of parts and F the polynomial with F(j) = values[j].
 
-    Adding a part of size t maps J to J + 1, so in unbounded-knapsack order
-    S[a][x] += sum_b C(a, b) S[b][x - t]; the table holds (n+1)(m+1) ints.
+    With d_c the forward differences of F at 0, F(J) = sum_c d_c C(J, c).  A
+    part of size t maps J to J + 1, and C(J + 1, c) = C(J, c) + C(J, c - 1),
+    so in unbounded-knapsack order B[c][x] += B[c][x - t] + B[c - 1][x - t]
+    in a table of len(values) * (m + 1) ints.
     """
-    S = [[0] * (m + 1) for _ in range(n + 1)]
-    S[0][0] = 1
-    binom = [[math.comb(a, b) for b in range(a + 1)] for a in range(n + 1)]
+    diffs = []
+    level = list(values)
+    while level:
+        diffs.append(level[0])
+        level = [b - a for a, b in zip(level, level[1:])]
+    table = [[1] + [0] * m] + [[0] * (m + 1) for _ in diffs[1:]]
     for t in range(1, k + 1):
-        for x in range(t, m + 1):
-            prev = [S[b][x - t] for b in range(n + 1)]
-            for a in range(n + 1):
-                row = binom[a]
-                S[a][x] += sum(row[b] * prev[b] for b in range(a + 1))
-    return S
+        # row c - 1 is complete for this t before row c reads it
+        below = [0] * (m + 1)
+        for row in table:
+            for x in range(t, m + 1):
+                row[x] += row[x - t] + below[x - t]
+            below = row
+    return [sum(d * b for d, b in zip(diffs, column)) for column in zip(*table)]
 
 
 def sum_repeated(n: int, k: int) -> Fraction:

@@ -4,7 +4,8 @@
 jet algebra on an n-fold.  ``boundary_jet_sections`` evaluates, exactly, the
 number of independent sections of the graded boundary quotient that separates
 logarithmic jet differentials from standard ones: an n-fold compactified by a
-disjoint union of abelian hypersurfaces with ample conormal bundle.
+disjoint union of abelian hypersurfaces with ample conormal bundle, in
+O(n*k*m) integer additions and no partition enumeration.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate
 
-from .combinatorics import sum_nondecreasing, weighted_partitions
+from .combinatorics import _part_count_sums, sum_nondecreasing, weighted_partitions
 
 
 @dataclass(frozen=True)
@@ -58,24 +59,16 @@ def jet_rank(n: int, k: int, m: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _rank_profile(n: int, k: int, m_max: int) -> tuple[int, ...]:
-    """jet_rank(n, k, m) for all m = 0..m_max, by one pass of the generating
-    function prod_{t=1..k} (1 - y^t)^(-n)."""
-    profile = [0] * (m_max + 1)
-    profile[0] = 1
+def _rank_profile(n: int, k: int, m_max: int) -> list[int]:
+    """jet_rank(n, k, m) for all m = 0..m_max: the coefficients of
+    prod_{t=1..k} (1 - y^t)^(-n), multiplied in as n passes of 1/(1 - y^t)
+    for each t."""
+    profile = [1] + [0] * m_max
     for t in range(1, k + 1):
-        new = [0] * (m_max + 1)
-        for x in range(m_max + 1):
-            c = profile[x]
-            if c == 0:
-                continue
-            l = 0
-            while x + t * l <= m_max:
-                new[x + t * l] += c * math.comb(l + n - 1, n - 1)
-                l += 1
-        profile = new
-    return tuple(profile)
+        for _ in range(n):
+            for x in range(t, m_max + 1):
+                profile[x] += profile[x - t]
+    return profile
 
 
 def conormal_power_sections(s: int, boundary: BoundaryData) -> Fraction:
@@ -100,40 +93,23 @@ def boundary_jet_sections(k: int, m: int, boundary: BoundaryData) -> Fraction:
 
     The graded module splits over r = 0..m into a conormal-power block (jets
     transverse to the boundary) tensored with the degree-(m-r) jet algebra of
-    the boundary itself.  For the block at r, every tuple (j_1..j_k) with
-    sum_i i*j_i = r contributes, for each index i with j_i >= 1, the conormal
-    powers j_1+...+j_{i-1}+s for s = 0..j_i-1.
-
-    Only the power-0 layer sees the component count; all other layers are
-    pure conormal powers, so the whole computation reduces to two integer
-    convolutions against the cached boundary rank profile.
+    the boundary itself.  In the block at r, a tuple (j_1..j_k) with
+    sum_i i*j_i = r and J = j_1+...+j_k parts meets the conormal powers
+    0..J-1 once each: power 0 gives the component count when r >= 1, and the
+    powers s >= 1 give sum_{s<J} s^(n-1) (a degree-n polynomial in J) times
+    -(-D)^n/(n-1)!.  Part-count tables sum both over the partitions of every
+    r <= m at once, so the cost is O(n*k*m) integer additions.
     """
     if k < 1 or m < 0:
         raise ValueError("need k >= 1, m >= 0")
     n = boundary.n
-    # prefix[x] = sum_{t=1..x} t^(n-1); prefix[0] = 0
-    prefix = [0] * (m + 1)
-    for t in range(1, m + 1):
-        prefix[t] = prefix[t - 1] + t ** (n - 1)
-
+    counts = _part_count_sums([1], k, m)
+    # F(J) = sum_{s<J} s^(n-1) at J = 0..n; the s = 0 term is 0 as n >= 2
+    faulhaber = list(accumulate((s ** (n - 1) for s in range(n)), initial=0))
+    powers = _part_count_sums(faulhaber, k, m)
     profile = _rank_profile(n - 1, k, m)
-    zero_layers = 0   # multiplies components
-    power_layers = 0  # multiplies neg_dn_abs/(n-1)!
-    for r in range(m + 1):
-        count_r = 0
-        powersum_r = 0
-        for tup in weighted_partitions(k, r):
-            p = 0
-            for j in tup:
-                if j >= 1:
-                    if p == 0:
-                        count_r += 1
-                        powersum_r += prefix[j - 1]
-                    else:
-                        powersum_r += prefix[p + j - 1] - prefix[p - 1]
-                    p += j
-        zero_layers += count_r * profile[m - r]
-        power_layers += powersum_r * profile[m - r]
+    zero_layers = sum(counts[r] * profile[m - r] for r in range(1, m + 1))
+    power_layers = sum(powers[r] * profile[m - r] for r in range(m + 1))
     return (
         boundary.components * zero_layers
         + Fraction(power_layers, math.factorial(n - 1)) * boundary.neg_dn_abs

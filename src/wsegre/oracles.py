@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .chow import weighted_tangent_top_segre
 from .combinatorics import (
-    _part_count_moments,
+    _part_count_sums,
     sum_nondecreasing,
     sum_repeated,
     weighted_partitions,
@@ -159,7 +159,7 @@ def check_partition_power_growth(
     if r_max < 10:
         raise ValueError("r_max must be >= 10")
     lead = Fraction(1, math.factorial(k)) * sum_nondecreasing(n, k)
-    powers = _part_count_moments(n, k, r_max)[n]
+    powers = _part_count_sums([j**n for j in range(n + 1)], k, r_max)
     e = n + k - 1
     # ratio = (powers[r] / n!) / (lead * r^e / e!) = num * powers[r] / (den * r^e),
     # so excess = r * (ratio - 1) is one Fraction per r

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import wsegre.chow as chow
-from wsegre.bounds import GeometryInput, volume_lower_bound
+from wsegre.bounds import GeometryInput, logarithmic_volume, volume_lower_bound
 from wsegre.cli import main
 
 
@@ -365,3 +365,30 @@ def test_exact_result_past_the_int_str_digit_limit(capsys, fmt):
         assert Fraction(int(num), int(den)) == expected
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_exact_result_beyond_float_range_has_no_approx(capsys, fmt):
+    code, out, _ = run(capsys, "volume", "--n", "2", "--k", "1", "--kd-n", "1e400",
+                       "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["inputs"]["kd_n"]["approx"] is None
+        result = payload["result"]
+        assert result["approx"] is None
+        num, den = result["num"], result["den"]
+    elif fmt == "csv":
+        num, den, approx = out.splitlines()[1].split(",")[3:]
+        assert approx == ""
+    else:
+        assert "~" not in out
+        num, den = out.strip().split("/")
+    assert Fraction(int(num), int(den)) == logarithmic_volume(2, 1, Fraction(10**400))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_float_only_command_reports_overflow(capsys, fmt):
+    code, out, err = run(capsys, "threshold", "--n", "4", "--neg-dn=-1e400", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")

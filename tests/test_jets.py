@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsegre.combinatorics import weighted_partitions
 from wsegre.jets import (
@@ -12,7 +14,7 @@ from wsegre.jets import (
     conormal_power_sections,
     jet_rank,
 )
-from wsegre.oracles import count_partitions_max_part
+from wsegre.oracles import count_partitions_max_part, count_weighted_monomials
 
 
 def boundary_sections_reference(k, m, b):
@@ -87,6 +89,18 @@ class TestJetRank:
                     assert profile[m] == jet_rank(n, k, m)
 
 
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    k=st.integers(min_value=1, max_value=5),
+    m_max=st.integers(min_value=0, max_value=30),
+)
+def test_rank_profile_counts_weighted_monomials(n, k, m_max):
+    weights = [t for t in range(1, k + 1) for _ in range(n)]
+    assert _rank_profile(n, k, m_max) == [
+        count_weighted_monomials(weights, m) for m in range(m_max + 1)
+    ]
+
 class TestConormalPowerSections:
     def test_zeroth_power_counts_components(self):
         assert conormal_power_sections(0, BoundaryData(2, Fraction(9), 1)) == 1
@@ -150,6 +164,18 @@ class TestBoundaryJetSections:
         with pytest.raises(ValueError):
             boundary_jet_sections(1, -1, b)
 
+
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    k=st.integers(min_value=1, max_value=5),
+    m=st.integers(min_value=0, max_value=20),
+    neg_dn_abs=st.fractions(min_value=Fraction(1, 100), max_value=100),
+    components=st.integers(min_value=1, max_value=3),
+)
+def test_boundary_sections_match_reference(n, k, m, neg_dn_abs, components):
+    b = BoundaryData(n, neg_dn_abs, components)
+    assert boundary_jet_sections(k, m, b) == boundary_sections_reference(k, m, b)
 
 class TestBoundaryCoeff:
     @pytest.mark.parametrize(

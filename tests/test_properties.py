@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsegre.combinatorics import (
-    _part_count_moments,
+    _part_count_sums,
     _product_coefficients,
     sum_nondecreasing,
     sum_repeated,
+    weighted_partitions,
 )
 from wsegre.oracles import (
     count_partitions_max_part,
@@ -26,13 +27,28 @@ small = st.integers(min_value=1, max_value=4)
 @settings(deadline=None)
 @given(n=small, k=small, r=st.integers(min_value=0, max_value=40))
 def test_part_count_moments_match_enumeration(n, k, r):
-    moments = _part_count_moments(n, k, r)
+    moments = [_part_count_sums([j**a for j in range(a + 1)], k, r) for a in range(n + 1)]
     assert len(moments) == n + 1
     assert all(len(row) == r + 1 for row in moments)
     assert moments[0][r] == count_partitions_max_part(r, k)
     for a in range(1, n + 1):
         assert Fraction(moments[a][r], math.factorial(a)) == partition_power_sum(a, k, r)
 
+
+@settings(deadline=None)
+@given(
+    coeffs=st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=6),
+    k=st.integers(min_value=1, max_value=5),
+    m=st.integers(min_value=0, max_value=25),
+)
+def test_part_count_sums_match_enumeration(coeffs, k, m):
+    def poly(j):
+        return sum(c * j**i for i, c in enumerate(coeffs))
+
+    sums = _part_count_sums([poly(j) for j in range(len(coeffs))], k, m)
+    assert sums == [
+        sum(poly(sum(tup)) for tup in weighted_partitions(k, x)) for x in range(m + 1)
+    ]
 
 @settings(deadline=None)
 @given(
