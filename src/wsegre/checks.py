@@ -3,9 +3,9 @@
 Each check returns a ``VerificationReport``.  Suites are deterministic:
 randomized checks draw from a fixed seed, and checks run in registration
 order.  ``fast=True`` shrinks ranges; the full run widens them.  On a 2-vCPU
-shared Xeon with Python 3.11 the fast suites take about 0.16 s in process
-(0.3 s for a whole ``wsegre verify --fast`` call) and the full suites about
-1.1 s (1.3 s for ``wsegre verify``).
+shared Xeon with Python 3.11 the fast suites take about 0.11 s in process
+(0.26 s for a whole ``wsegre verify --fast`` call) and the full suites about
+0.9 s (1.0 s for ``wsegre verify``).
 """
 
 from __future__ import annotations

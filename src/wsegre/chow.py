@@ -3,18 +3,54 @@
 Everything lives in the truncated polynomial ring Q[H]/(H^(n+1)), where H is
 the hyperplane class of projective n-space.  Coefficients are exact rationals
 throughout; there is no floating point in this module.
+
+The arithmetic runs on integer numerators.  A class is written C/D, with C a
+list of integers and D one common denominator.  A product convolves the
+integer lists, an inverse runs an integer recurrence, and the weighted
+Whitney product keeps one running integer product over all its summands.
+Each output coefficient is then normalized once, by one ``Fraction(num,
+den)``, so no gcd runs inside a loop.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 
 def _to_fractions(coeffs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coeffs)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+
+
+def _digits(value: int) -> str:
+    """Decimal text of an int of any size.  str() refuses ints past the
+    interpreter's digit limit; Decimal is exact there but slower below it."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(decimal.Decimal(value))
+
+
+def _fraction_text(value: Fraction) -> str:
+    """``str(value)`` for a Fraction of any size."""
+    if value.denominator == 1:
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
+def _integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers C and one denominator D with coeffs[i] == C[i] / D."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Coefficients 0..n of the product of the integer polynomials a and b."""
+    return [sum(map(operator.mul, a[: d + 1], reversed(b[: d + 1]))) for d in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -37,6 +73,14 @@ class TotalClass:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
+    def _of(cls, dim: int, coeffs: Iterable[Fraction]) -> "TotalClass":
+        """Wrap exactly dim + 1 Fractions as they are, with no conversion."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "coeffs", tuple(coeffs))
+        return out
+
+    @classmethod
     def unit(cls, dim: int) -> "TotalClass":
         return cls(dim, (1,))
 
@@ -50,14 +94,11 @@ class TotalClass:
                 raise ValueError(
                     f"dimension mismatch: {self.dim} != {other.dim}"
                 )
-            n = self.dim
-            out = [Fraction(0)] * (n + 1)
-            for a, xa in enumerate(self.coeffs):
-                if xa == 0:
-                    continue
-                for b in range(n + 1 - a):
-                    out[a + b] += xa * other.coeffs[b]
-            return TotalClass(n, out)
+            a, a_den = _integer_form(self.coeffs)
+            b, b_den = _integer_form(other.coeffs)
+            den = a_den * b_den
+            product = _convolve(a, b, self.dim)
+            return TotalClass._of(self.dim, (Fraction(c, den) for c in product))
         if isinstance(other, (int, Fraction)):
             return TotalClass(self.dim, (other * c for c in self.coeffs))
         return NotImplemented
@@ -65,26 +106,36 @@ class TotalClass:
     __rmul__ = __mul__
 
     def inverse(self) -> "TotalClass":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        With the class written C/D, the inverse has coefficient
+        D·Q_d / C_0^(d+1) in degree d, where Q_0 = 1 and
+        Q_d = -sum_{i=1..d} C_i·C_0^(i-1)·Q_(d-i) are integers.
+        """
         if self.coeffs[0] == 0:
             raise ValueError("cannot invert a class with zero constant term")
         n = self.dim
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * n
+        c, den = _integer_form(self.coeffs)
+        powers = [1]
+        for _ in range(n + 1):
+            powers.append(powers[-1] * c[0])
+        q = [1]
         for d in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, d + 1):
-                acc += self.coeffs[i] * out[d - i]
-            out[d] = -inv0 * acc
-        return TotalClass(n, out)
+            q.append(-sum(c[i] * powers[i - 1] * q[d - i] for i in range(1, d + 1)))
+        return TotalClass._of(n, (Fraction(den * q[d], powers[d + 1]) for d in range(n + 1)))
 
     def __pow__(self, e: int) -> "TotalClass":
         if not isinstance(e, int):
             raise TypeError("exponent must be an integer")
         base = self if e >= 0 else self.inverse()
         out = TotalClass.unit(self.dim)
-        for _ in range(abs(e)):
-            out = out * base
+        e = abs(e)
+        while e:  # binary exponentiation: O(log |e|) products
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def top(self) -> Fraction:
@@ -96,9 +147,11 @@ class TotalClass:
         for d, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            mag = str(abs(c)) if d == 0 else (
-                f"{abs(c)}·H" if d == 1 else f"{abs(c)}·H^{d}"
-            )
+            mag = _fraction_text(abs(c))
+            if d == 1:
+                mag += "·H"
+            elif d > 1:
+                mag += f"·H^{d}"
             terms.append(("-" if c < 0 else "+", mag))
         if not terms:
             return "0"
@@ -129,6 +182,8 @@ class WeightedSummand:
     @classmethod
     def from_chern(cls, chern: TotalClass, rank: int, weight: int) -> "WeightedSummand":
         """Build a summand from a total Chern class (Segre = inverse)."""
+        if chern.coeffs[0] != 1:
+            raise ValueError("total Chern class must start with 1")
         return cls(chern.inverse(), rank, weight)
 
 
@@ -153,12 +208,22 @@ def segre_of_weighted_summand(summand: WeightedSummand) -> TotalClass:
     Degree-j coefficient is s_j(E) / a^(rank - 1 + j); weight 1 returns the
     input class unchanged.
     """
-    s, a, r = summand.segre, summand.weight, summand.rank
-    if a == 1:
-        return s
-    return TotalClass(
-        s.dim, (c / Fraction(a) ** (r - 1 + j) for j, c in enumerate(s.coeffs))
-    )
+    if summand.weight == 1:
+        return summand.segre
+    nums, den = _weighted_integer_form(summand)
+    return TotalClass._of(summand.segre.dim, (Fraction(c, den) for c in nums))
+
+
+def _weighted_integer_form(summand: WeightedSummand) -> tuple[list[int], int]:
+    """Integers T and one denominator D with T[j] / D the degree-j
+    coefficient s_j / a^(rank-1+j) of E^(a).
+
+    Every coefficient goes over a^(rank-1+dim), so T[j] = S_j·a^(dim-j) when
+    the Segre class is S/D_s.
+    """
+    nums, den = _integer_form(summand.segre.coeffs)
+    a, n = summand.weight, summand.segre.dim
+    return [c * a ** (n - j) for j, c in enumerate(nums)], den * a ** (summand.rank - 1 + n)
 
 
 def segre_of_weighted_sum(summands: Sequence[WeightedSummand]) -> TotalClass:
@@ -166,19 +231,23 @@ def segre_of_weighted_sum(summands: Sequence[WeightedSummand]) -> TotalClass:
 
     Whitney-type product: gcd(a_1..a_p)/(a_1*...*a_p) times the product of the
     per-summand classes.  With all weights 1 this is the classical Whitney
-    product.
+    product.  One integer product runs over all summands, and the prefactor
+    folds into the final normalization.
     """
     if not summands:
         raise ValueError("weighted sum needs at least one summand")
     dims = {s.segre.dim for s in summands}
     if len(dims) != 1:
         raise ValueError("all summands must share the same ambient dimension")
+    n = dims.pop()
     weights = [s.weight for s in summands]
-    prefactor = Fraction(math.gcd(*weights), math.prod(weights))
-    out = TotalClass.unit(dims.pop())
+    product, den = [1] + [0] * n, math.prod(weights)
     for s in summands:
-        out = out * segre_of_weighted_summand(s)
-    return prefactor * out
+        nums, s_den = _weighted_integer_form(s)
+        product = _convolve(product, nums, n)
+        den *= s_den
+    gcd = math.gcd(*weights)
+    return TotalClass._of(n, (Fraction(gcd * c, den) for c in product))
 
 
 def weighted_tangent_top_segre(n: int, k: int) -> Fraction:

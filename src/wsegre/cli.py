@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import io
 import json
 import math
@@ -22,7 +21,7 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from . import bounds, checks, jets
-from .chow import TotalClass, WeightedSummand, segre_of_weighted_sum
+from .chow import TotalClass, WeightedSummand, _digits, _fraction_text, segre_of_weighted_sum
 
 SCHEMA = "wsegre/1"
 
@@ -65,15 +64,6 @@ class _Record:
     code: int = 0
 
 
-def _digits(value: int) -> str:
-    """Decimal text of an int of any size.  str() refuses ints past the
-    interpreter's digit limit; Decimal is exact there but slower below it."""
-    try:
-        return str(value)
-    except ValueError:
-        return str(decimal.Decimal(value))
-
-
 def _approx(value: Fraction) -> Optional[float]:
     """float(value), or None where value lies beyond the float range."""
     try:
@@ -83,9 +73,9 @@ def _approx(value: Fraction) -> Optional[float]:
 
 
 def _rational_text(value: Fraction) -> str:
+    text = _fraction_text(value)
     if value.denominator == 1:
-        return _digits(value.numerator)
-    text = f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+        return text
     approx = _approx(value)
     return text if approx is None else f"{text} (~ {approx:.12g})"
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wsegre import checks, oracles
+from wsegre import checks, chow, oracles
 from wsegre.cli import main
 from wsegre.combinatorics import sum_nondecreasing
 
@@ -137,3 +137,13 @@ def test_verify_reports_a_huge_failure_instead_of_raising(monkeypatch, capsys):
     assert main(["verify", "--suite", "oracles", "--fast"]) == 2
     out = capsys.readouterr().out
     assert f"[FAIL] reciprocal sums vs enumeration: {HUGE_TEXT} vs 2" in out
+
+
+def test_failure_report_of_a_class_past_the_int_str_digit_limit(monkeypatch):
+    def huge(summands):
+        return chow.TotalClass(summands[0].segre.dim, (HUGE,))
+
+    monkeypatch.setattr(chow, "segre_of_weighted_sum", huge)
+    report = checks.check_whitney_weight_one(1)
+    assert not report.passed
+    assert report.lhs.startswith("1" + "0" * 4999) and report.lhs.endswith("1/3")

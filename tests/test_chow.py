@@ -143,6 +143,11 @@ class TestWeightedSummand:
         s = WeightedSummand.from_chern(tc(2, 1, 3, 3), 2, 1)
         assert s.segre == tc(2, 1, -3, 6)
 
+    def test_from_chern_names_the_chern_class(self):
+        for chern in (tc(1, 2, 1), tc(1, 0, 1)):
+            with pytest.raises(ValueError, match="total Chern class must start with 1"):
+                WeightedSummand.from_chern(chern, 1, 1)
+
 
 class TestWeightedSum:
     def test_empty_rejected(self):

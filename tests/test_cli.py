@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -52,6 +53,13 @@ class TestSegreCommand:
         code, _, err = run(capsys, "segre", "--dim", "1", "--summand", "rank=1,weight=1")
         assert code == 1
         assert "segre" in err
+
+    def test_chern_class_must_start_with_one(self, capsys):
+        code, out, err = run(
+            capsys, "segre", "--dim", "1", "--summand", "rank=1,weight=1,chern=2,1"
+        )
+        assert (code, out) == (1, "")
+        assert "total Chern class must start with 1" in err
 
     def test_csv_lists_degrees(self, capsys):
         code, out, _ = run(
@@ -281,10 +289,14 @@ class TestExitCodes:
         assert run(capsys, "frobnicate")[0] == 1
 
     def test_console_entry_point(self):
+        # The child imports the same package as this process, installed or not.
+        src = str(pathlib.Path(chow.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "wsegre", "ranks", "--n", "1", "--k", "2", "--m", "4"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3"
@@ -363,6 +375,30 @@ def test_exact_result_past_the_int_str_digit_limit(capsys, fmt):
     sys.set_int_max_str_digits(0)
     try:
         assert Fraction(int(num), int(den)) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_segre_class_past_the_int_str_digit_limit(capsys, fmt):
+    weight = 1000000007
+    code, out, _ = run(capsys, "segre", "--dim", "1", "--summand",
+                       f"rank=600,weight={weight},segre=1,1", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        coeffs = [(c["num"], c["den"]) for c in json.loads(out)["result"]["coeffs"]]
+    elif fmt == "csv":
+        coeffs = [tuple(line.split(",")[1:3]) for line in out.splitlines()[1:]]
+    else:
+        coeffs = [tuple(term.removesuffix("·H").split("/"))
+                  for term in out.strip().split(" + ")]
+    assert max(len(den) for _, den in coeffs) > sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [Fraction(int(num), int(den)) for num, den in coeffs] == [
+            Fraction(1, weight**599), Fraction(1, weight**600)
+        ]
     finally:
         sys.set_int_max_str_digits(limit)
 
