@@ -147,3 +147,47 @@ def test_failure_report_of_a_class_past_the_int_str_digit_limit(monkeypatch):
     report = checks.check_whitney_weight_one(1)
     assert not report.passed
     assert report.lhs.startswith("1" + "0" * 4999) and report.lhs.endswith("1/3")
+
+
+
+CHECKS = sorted(name for name in vars(checks) if name.startswith("check_"))
+
+
+def _suite_calls(monkeypatch, fast):
+    """Patch a stub over every public check, run every suite, and return
+    (check, suite) for each call in order."""
+    calls, current = [], []
+    run_suite = checks.run_suite
+
+    def tracked(name, fast=False):
+        current.append(name)
+        try:
+            return run_suite(name, fast)
+        finally:
+            current.pop()
+
+    def stub(check):
+        def call(*args):
+            calls.append((check, current[-1]))
+            return oracles.VerificationReport(check, True, "", "")
+        return call
+
+    monkeypatch.setattr(checks, "run_suite", tracked)
+    for name in CHECKS:
+        monkeypatch.setattr(checks, name, stub(name))
+    reports = checks.run_suite("all", fast)
+    assert [r.name for r in reports] == [check for check, _ in calls]
+    return calls
+
+
+def test_every_check_runs_in_one_suite_and_fast_leaves_out_one(monkeypatch):
+    # run_suite must look each check up on the module when it runs, and
+    # run_suite("all") must call run_suite per suite: the benchmark's tracer
+    # patches module attributes and tags each suite's span by its name
+    full = _suite_calls(monkeypatch, fast=False)
+    assert sorted(check for check, _ in full) == CHECKS
+    suites = [suite for _, suite in full]
+    assert suites == sorted(suites, key=checks.SUITE_NAMES.index)
+    assert set(suites) == set(checks.SUITE_NAMES)
+    fast = _suite_calls(monkeypatch, fast=True)
+    assert fast == [call for call in full if call[0] != "check_boundary_leading_coefficient"]

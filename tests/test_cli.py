@@ -337,6 +337,8 @@ CONTRACT = {
     "minorder-geometry": (["minorder", "--geometry", "{geometry}", "--k-max", "20"],
                           "n = 3\nkd_n = 1\nneg_dn = -1/2\ncomponents = 2\n"),
     "verify": (["verify", "--suite", "identities", "--fast"], None),
+    "verify-fast": (["verify", "--fast"], None),
+    "verify-full": (["verify"], None),
 }
 
 
