@@ -1,11 +1,12 @@
 """Named verification checks and the suites behind the ``verify`` command.
 
-Each check returns a ``VerificationReport``.  Suites are deterministic:
-randomized checks draw from a fixed seed, and checks run in registration
-order.  ``fast=True`` shrinks ranges; the full run widens them.  On a 2-vCPU
-shared Xeon with Python 3.11 the fast suites take about 0.11 s in process
-(0.26 s for a whole ``wsegre verify --fast`` call) and the full suites about
-0.9 s (1.0 s for ``wsegre verify``).
+Each check returns a ``VerificationReport``.  One table, ``_SUITES``, lists
+every check once, in run order, with its arguments for a ``--fast`` run and
+for a full run; a size that never varies is a constant inside its check.
+Suites are deterministic: randomized checks draw from a fixed seed.  On a
+2-vCPU shared Xeon with Python 3.11 the fast suites take about 0.10 s in
+process (0.28 s for a whole ``wsegre verify --fast`` call) and the full
+suites about 0.6 s (1.0 s for ``wsegre verify``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import bounds, chow, jets, oracles
 from .bounds import GAMMA, PI
@@ -61,7 +62,7 @@ def _random_class(rng: random.Random, dim: int, unit_constant=False) -> chow.Tot
 # ---------------------------------------------------------------- identities
 
 
-def check_ring_axioms(trials: int = 40) -> VerificationReport:
+def check_ring_axioms(trials: int) -> VerificationReport:
     rng = random.Random(_SEED)
     for _ in range(trials):
         dim = rng.randint(1, 6)
@@ -84,7 +85,7 @@ def check_ring_axioms(trials: int = 40) -> VerificationReport:
     )
 
 
-def check_weighted_single_coefficients(trials: int = 40) -> VerificationReport:
+def check_weighted_single_coefficients(trials: int) -> VerificationReport:
     rng = random.Random(_SEED + 1)
     for _ in range(trials):
         dim = rng.randint(1, 5)
@@ -107,7 +108,7 @@ def check_weighted_single_coefficients(trials: int = 40) -> VerificationReport:
     )
 
 
-def check_whitney_weight_one(trials: int = 30) -> VerificationReport:
+def check_whitney_weight_one(trials: int) -> VerificationReport:
     rng = random.Random(_SEED + 2)
     for _ in range(trials):
         dim = rng.randint(1, 5)
@@ -125,11 +126,11 @@ def check_whitney_weight_one(trials: int = 30) -> VerificationReport:
     )
 
 
-def check_volume_identity(n_max: int = 5, k_max: int = 6) -> VerificationReport:
-    return oracles.cross_check_volume_identity(n_max, k_max)
+def check_volume_identity() -> VerificationReport:
+    return oracles.cross_check_volume_identity(5, 6)
 
 
-def check_volume_decomposition(trials: int = 25) -> VerificationReport:
+def check_volume_decomposition(trials: int) -> VerificationReport:
     rng = random.Random(_SEED + 3)
     for _ in range(trials):
         g = bounds.GeometryInput(
@@ -149,7 +150,8 @@ def check_volume_decomposition(trials: int = 25) -> VerificationReport:
     )
 
 
-def check_harmonic_recurrence(trials: int = 50) -> VerificationReport:
+def check_harmonic_recurrence() -> VerificationReport:
+    trials = 50
     rng = random.Random(_SEED + 4)
     for _ in range(trials):
         k = rng.randint(2, 400)
@@ -181,7 +183,7 @@ def check_boundary_small_cases() -> VerificationReport:
 # ------------------------------------------------------------------- oracles
 
 
-def check_sum_oracles(limit: int = 4) -> VerificationReport:
+def check_sum_oracles(limit: int) -> VerificationReport:
     for n in range(1, limit + 1):
         for k in range(1, limit + 1):
             for label, fast, brute in (
@@ -200,7 +202,8 @@ def check_sum_oracles(limit: int = 4) -> VerificationReport:
     )
 
 
-def check_jet_rank_partitions(m_max: int = 30, k_max: int = 6) -> VerificationReport:
+def check_jet_rank_partitions(m_max: int) -> VerificationReport:
+    k_max = 6
     for k in range(1, k_max + 1):
         for m in range(m_max + 1):
             rank, count = jets.jet_rank(1, k, m), oracles.count_partitions_max_part(m, k)
@@ -214,7 +217,8 @@ def check_jet_rank_partitions(m_max: int = 30, k_max: int = 6) -> VerificationRe
     )
 
 
-def check_rank_telescoping(l_max: int = 20) -> VerificationReport:
+def check_rank_telescoping() -> VerificationReport:
+    l_max = 20
     for n in range(2, 9):
         for l in range(l_max + 1):
             lhs = sum(math.comb(j + n - 2, n - 2) for j in range(l + 1))
@@ -250,7 +254,7 @@ def check_monomial_quasipolynomial() -> VerificationReport:
     )
 
 
-def check_orbifold_growth(fast: bool = False) -> VerificationReport:
+def check_orbifold_growth(fast: bool) -> VerificationReport:
     steps = 500 if fast else 2000
     for weights in ((1, 1), (1, 2), (1, 2, 3), (2, 4, 6)):
         rep = oracles.check_orbifold_h0(weights, steps * math.lcm(*weights))
@@ -262,7 +266,8 @@ def check_orbifold_growth(fast: bool = False) -> VerificationReport:
     )
 
 
-def check_partition_power_examples(r_max: int = 40) -> VerificationReport:
+def check_partition_power_examples() -> VerificationReport:
+    r_max = 40
     spot = [
         (oracles.partition_power_sum(1, 2, 2), Fraction(3)),
         (oracles.partition_power_sum(2, 1, 6), Fraction(18)),
@@ -285,7 +290,8 @@ def check_partition_power_examples(r_max: int = 40) -> VerificationReport:
     )
 
 
-def check_boundary_leading_coefficient(m: int = 300) -> VerificationReport:
+def check_boundary_leading_coefficient() -> VerificationReport:
+    m = 300
     b = jets.BoundaryData(2, Fraction(1), 1)
     value = jets.boundary_jet_sections(2, m, b)
     ratio = value / Fraction(m**5, math.factorial(5))
@@ -303,9 +309,7 @@ def check_boundary_leading_coefficient(m: int = 300) -> VerificationReport:
 # -------------------------------------------------------------- inequalities
 
 
-def check_interior_chain(
-    n_max: int = 5, k_dense: int = 100, k_spots: Sequence[int] = ()
-) -> VerificationReport:
+def check_interior_chain(n_max: int, k_dense: int, k_spots: Sequence[int]) -> VerificationReport:
     ks = list(range(1, k_dense + 1)) + list(k_spots)
     for k in ks:
         h = harmonic(k)
@@ -334,9 +338,7 @@ def _boundary_rhs(n: int, k: int) -> float:
     return (j + 0.5) ** n / math.factorial(n) + (PI * PI / 6) * (n - 2) * (j + 1.5) ** (n - 2)
 
 
-def check_boundary_chain(
-    k_dense: int = 100, k_spots: Sequence[int] = (), sweep_to: int = 10**4
-) -> VerificationReport:
+def check_boundary_chain(k_dense: int, k_spots: Sequence[int], sweep_to: int) -> VerificationReport:
     degrees = range(3, 9)
     for k in list(range(2, k_dense + 1)) + list(k_spots):
         # e[n] = sum_nondecreasing(n, k) for every n, from one series
@@ -373,7 +375,7 @@ def check_boundary_chain(
     )
 
 
-def check_harmonic_bracketing(k_max: int = 10**6) -> VerificationReport:
+def check_harmonic_bracketing(k_max: int) -> VerificationReport:
     log = math.log
     floor, ceiling = GAMMA - 1e-12, GAMMA + 0.5 + 1e-12
     total = 0.0
@@ -401,7 +403,7 @@ def check_harmonic_bracketing(k_max: int = 10**6) -> VerificationReport:
     )
 
 
-def check_partition_power_growth(fast: bool = False) -> VerificationReport:
+def check_partition_power_growth(fast: bool) -> VerificationReport:
     pairs = ((1, 1), (1, 2), (2, 2)) if fast else ((1, 1), (1, 2), (2, 2), (2, 3))
     r_max = 150 if fast else 500
     for n, k in pairs:
@@ -414,7 +416,8 @@ def check_partition_power_growth(fast: bool = False) -> VerificationReport:
     )
 
 
-def check_monotone_sums(n_max: int = 4, k_max: int = 25) -> VerificationReport:
+def check_monotone_sums() -> VerificationReport:
+    n_max, k_max = 4, 25
     for n in range(1, n_max + 1):
         prev = {"repeated": sum_repeated(n, 1), "non-decreasing": sum_nondecreasing(n, 1)}
         for k in range(1, k_max):
@@ -474,7 +477,8 @@ def check_threshold_consistency() -> VerificationReport:
     )
 
 
-def check_simple_bound_dominated(n_max: int = 5, k_max: int = 100) -> VerificationReport:
+def check_simple_bound_dominated(k_max: int) -> VerificationReport:
+    n_max = 5
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
             simple = bounds.simple_lower_bound(n, k, Fraction(1))
@@ -492,57 +496,41 @@ def check_simple_bound_dominated(n_max: int = 5, k_max: int = 100) -> Verificati
 # -------------------------------------------------------------------- suites
 
 
-def identity_checks(fast: bool = False) -> list[Callable[[], VerificationReport]]:
-    return [
-        lambda: check_volume_identity(5, 6),
-        lambda: check_ring_axioms(20 if fast else 40),
-        lambda: check_weighted_single_coefficients(20 if fast else 40),
-        lambda: check_whitney_weight_one(15 if fast else 30),
-        lambda: check_volume_decomposition(12 if fast else 25),
-        check_harmonic_recurrence,
-        check_boundary_small_cases,
-    ]
-
-
-def oracle_checks(fast: bool = False) -> list[Callable[[], VerificationReport]]:
-    out = [
-        lambda: check_sum_oracles(3 if fast else 4),
-        lambda: check_jet_rank_partitions(15 if fast else 30, 6),
-        check_rank_telescoping,
-        check_monomial_quasipolynomial,
-        lambda: check_orbifold_growth(fast),
-        check_partition_power_examples,
-    ]
-    if not fast:
-        out.append(check_boundary_leading_coefficient)
-    return out
-
-
-def inequality_checks(fast: bool = False) -> list[Callable[[], VerificationReport]]:
-    if fast:
-        return [
-            lambda: check_interior_chain(5, 40),
-            lambda: check_boundary_chain(40, (), 10**3),
-            lambda: check_harmonic_bracketing(10**5),
-            lambda: check_partition_power_growth(True),
-            check_monotone_sums,
-            check_boundary_factor_monotone,
-            check_threshold_consistency,
-            lambda: check_simple_bound_dominated(5, 40),
-        ]
-    return [
-        lambda: check_interior_chain(5, 100, (1000,)),
-        lambda: check_boundary_chain(100, (1000,), 10**4),
-        lambda: check_harmonic_bracketing(10**6),
-        lambda: check_partition_power_growth(False),
-        check_monotone_sums,
-        check_boundary_factor_monotone,
-        check_threshold_consistency,
-        lambda: check_simple_bound_dominated(5, 100),
-    ]
-
-
-SUITE_NAMES = ("identities", "oracles", "inequalities")
+# Each suite lists its checks in run order: the name, the arguments of a
+# ``--fast`` run and those of a full run, where None leaves the check out.
+# A check is looked up on this module when its suite runs, so a function
+# patched onto the module is the one that runs.
+_SUITES = {
+    "identities": (
+        ("check_volume_identity", (), ()),
+        ("check_ring_axioms", (20,), (40,)),
+        ("check_weighted_single_coefficients", (20,), (40,)),
+        ("check_whitney_weight_one", (15,), (30,)),
+        ("check_volume_decomposition", (12,), (25,)),
+        ("check_harmonic_recurrence", (), ()),
+        ("check_boundary_small_cases", (), ()),
+    ),
+    "oracles": (
+        ("check_sum_oracles", (3,), (4,)),
+        ("check_jet_rank_partitions", (15,), (30,)),
+        ("check_rank_telescoping", (), ()),
+        ("check_monomial_quasipolynomial", (), ()),
+        ("check_orbifold_growth", (True,), (False,)),
+        ("check_partition_power_examples", (), ()),
+        ("check_boundary_leading_coefficient", None, ()),
+    ),
+    "inequalities": (
+        ("check_interior_chain", (5, 40, ()), (5, 100, (1000,))),
+        ("check_boundary_chain", (40, (), 10**3), (100, (1000,), 10**4)),
+        ("check_harmonic_bracketing", (10**5,), (10**6,)),
+        ("check_partition_power_growth", (True,), (False,)),
+        ("check_monotone_sums", (), ()),
+        ("check_boundary_factor_monotone", (), ()),
+        ("check_threshold_consistency", (), ()),
+        ("check_simple_bound_dominated", (40,), (100,)),
+    ),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, fast: bool = False) -> list[VerificationReport]:
@@ -552,11 +540,11 @@ def run_suite(name: str, fast: bool = False) -> list[VerificationReport]:
         for sub in SUITE_NAMES:
             reports.extend(run_suite(sub, fast))
         return reports
-    table = {
-        "identities": identity_checks,
-        "oracles": oracle_checks,
-        "inequalities": inequality_checks,
-    }
-    if name not in table:
+    if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return [make() for make in table[name](fast)]
+    reports = []
+    for check, fast_args, full_args in _SUITES[name]:
+        args = fast_args if fast else full_args
+        if args is not None:
+            reports.append(globals()[check](*args))
+    return reports

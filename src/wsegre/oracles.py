@@ -99,15 +99,14 @@ def count_weighted_monomials(weights: Sequence[int], m: int) -> int:
     return ways[m]
 
 
-def check_orbifold_h0(
-    weights: Sequence[int], m_max: int, tolerance: float = 0.02
-) -> VerificationReport:
+def check_orbifold_h0(weights: Sequence[int], m_max: int) -> VerificationReport:
     """Check that the weighted monomial count grows like
     gcd(weights)/prod(weights) * m^n/n!  with n = len(weights) - 1.
 
     Counts are taken along m = lcm, 2*lcm, ..., <= m_max; the check passes if
-    the final ratio is within ``tolerance`` of the predicted constant.
+    the final ratio is within 2% of the predicted constant.
     """
+    tolerance = 0.02
     weights = tuple(weights)
     n = len(weights) - 1
     if n < 1:
@@ -143,21 +142,20 @@ def partition_power_sum(n: int, k: int, r: int) -> Fraction:
     return Fraction(total, math.factorial(n))
 
 
-def check_partition_power_growth(
-    n: int, k: int, r_max: int, slack: float = 10.0
-) -> VerificationReport:
+def check_partition_power_growth(n: int, k: int, r_max: int) -> VerificationReport:
     """Check the growth of ``partition_power_sum`` against its leading term
     sum_nondecreasing(n,k)/k! * r^(n+k-1)/(n+k-1)!.
 
     The bound is asymptotic with an unspecified constant, so the ratio is
-    required to stay below 1 + slack/r over the top decade [r_max/10, r_max];
+    required to stay below 1 + 10/r over the top decade [r_max/10, r_max];
     the worst normalized excess r*(ratio-1) over that window is reported,
-    along with the first r from which ratio <= 1 + slack/r holds onward.
+    along with the first r from which ratio <= 1 + 10/r holds onward.
     The sums for every r <= r_max come from one part-count moment table
     (``partition_power_sum`` enumerates each r instead).
     """
     if r_max < 10:
         raise ValueError("r_max must be >= 10")
+    slack = 10.0
     lead = Fraction(1, math.factorial(k)) * sum_nondecreasing(n, k)
     powers = _part_count_sums([j**n for j in range(n + 1)], k, r_max)
     e = n + k - 1
