@@ -95,20 +95,22 @@ def boundary_jet_sections(k: int, m: int, boundary: BoundaryData) -> Fraction:
     transverse to the boundary) tensored with the degree-(m-r) jet algebra of
     the boundary itself.  In the block at r, a tuple (j_1..j_k) with
     sum_i i*j_i = r and J = j_1+...+j_k parts meets the conormal powers
-    0..J-1 once each: power 0 gives the component count when r >= 1, and the
-    powers s >= 1 give sum_{s<J} s^(n-1) (a degree-n polynomial in J) times
-    -(-D)^n/(n-1)!.  Part-count tables sum both over the partitions of every
-    r <= m at once, so the cost is O(n*k*m) integer additions.
+    0..J-1 once each.  Power 0 gives the component count once for each tuple
+    with J >= 1; summed against the boundary's rank profile those tuples
+    number jet_rank(n, k, m) - jet_rank(n - 1, k, m), because
+    prod_t (1 - y^t)^(-1) * prod_t (1 - y^t)^(-(n-1)) = prod_t (1 - y^t)^(-n).
+    The powers s >= 1 give sum_{s<J} s^(n-1) (a degree-n polynomial in J)
+    times -(-D)^n/(n-1)!, which a part-count table sums over the partitions
+    of every r <= m at once.  The cost is O(n*k*m) integer additions.
     """
     if k < 1 or m < 0:
         raise ValueError("need k >= 1, m >= 0")
     n = boundary.n
-    counts = _part_count_sums([1], k, m)
     # F(J) = sum_{s<J} s^(n-1) at J = 0..n; the s = 0 term is 0 as n >= 2
     faulhaber = list(accumulate((s ** (n - 1) for s in range(n)), initial=0))
     powers = _part_count_sums(faulhaber, k, m)
     profile = _rank_profile(n - 1, k, m)
-    zero_layers = sum(counts[r] * profile[m - r] for r in range(1, m + 1))
+    zero_layers = _rank_profile(n, k, m)[m] - profile[m]
     power_layers = sum(powers[r] * profile[m - r] for r in range(m + 1))
     return (
         boundary.components * zero_layers
