@@ -21,6 +21,7 @@ from .combinatorics import sum_nondecreasing, sum_repeated
 
 GAMMA = 0.57721566490153286061  # Euler-Mascheroni
 PI = 3.14159265358979323846
+_NEG_DN_WARNING = "(-D)^n >= 0: expected a negative signed value"
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class GeometryInput:
         if self.kd_n <= 0:
             notes.append("(K+D)^n <= 0: the interior term is not positive")
         if self.neg_dn >= 0:
-            notes.append("(-D)^n >= 0: expected a negative signed value")
+            notes.append(_NEG_DN_WARNING)
         return tuple(notes)
 
 

@@ -256,18 +256,19 @@ def _cmd_threshold(args) -> _Record:
     value = bounds.threshold_logk(args.n, args.neg_dn)
     rounded = round(value)
     try:
-        min_k: Optional[int] = math.ceil(math.exp(value))
+        min_k: Optional[int] = max(1, math.ceil(math.exp(value)))  # orders start at 1
     except OverflowError:
         min_k = None
     min_k_text = str(min_k) if min_k is not None else "astronomically large (exp overflows)"
     inputs = {"n": args.n}
     if args.neg_dn is not None:
         inputs["neg_dn"] = args.neg_dn
+    warnings = (bounds._NEG_DN_WARNING,) if args.n in (4, 5) and args.neg_dn >= 0 else ()
     shown = (("threshold log k", value), ("rounded", rounded), ("min integer k", min_k_text))
     return _Record(
         "threshold", inputs, {"logk": value, "rounded": rounded, "min_integer_k": min_k},
         ("n", "logk", "rounded", "min_integer_k"), [(args.n, value, rounded, min_k_text)],
-        (f"{label}: {val}" for label, val in shown),
+        (f"{label}: {val}" for label, val in shown), warnings,
     )
 
 

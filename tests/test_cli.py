@@ -168,6 +168,31 @@ class TestThresholdCommand:
         assert code == 1
         assert "n = 4" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("n,neg_dn", [("4", "20"), ("5", "0")])
+    def test_nonnegative_boundary_number_warns_and_keeps_order_one(self, capsys, fmt, n, neg_dn):
+        # exp(log k) underflows to 0 at n = 4, (-D)^n = 20, but orders start at 1
+        warning = "(-D)^n >= 0: expected a negative signed value"
+        code, out, err = run(capsys, "threshold", "--n", n, f"--neg-dn={neg_dn}", "--format", fmt)
+        assert code == 0
+        assert err == f"warning: {warning}\n"
+        _, _, bound_err = run(capsys, "bound", "--n", n, "--k", "1", "--kd-n", "1",
+                              f"--neg-dn={neg_dn}", "--format", fmt)
+        assert bound_err == err
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["result"]["min_integer_k"] == 1
+            assert payload["warnings"] == [warning]
+        elif fmt == "csv":
+            assert out.splitlines()[1].split(",")[-1] == "1"
+        else:
+            assert out.splitlines()[-1] == "min integer k: 1"
+
+    def test_negative_boundary_number_does_not_warn(self, capsys):
+        code, out, err = run(capsys, "threshold", "--n", "4", "--neg-dn=-1/3", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["warnings"] == []
+
 
 class TestTableCommand:
     def test_text_table(self, capsys):
