@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .combinatorics import sum_nondecreasing, sum_repeated
+from .combinatorics import _inverse_series, _series_power
 
 GAMMA = 0.57721566490153286061  # Euler-Mascheroni
 PI = 3.14159265358979323846
@@ -60,11 +60,17 @@ class GeometryInput:
 
 def _bracket(n: int, k: int, kd_n: Fraction, neg_dn: Fraction) -> Fraction:
     """(K+D)^n/(n+1)^n * sum_repeated(n,k) + (-D)^n * sum_nondecreasing(n,k),
-    the volume bound times (k!)^n.  A zero coefficient skips its sum."""
-    total = kd_n / Fraction((n + 1) ** n) * sum_repeated(n, k) if kd_n else 0
-    if neg_dn:
-        total += neg_dn * sum_nondecreasing(n, k)
-    return total
+    the volume bound times (k!)^n.
+
+    Both sums share the denominator (k!)^n and one inverse series, so the
+    bracket is built over that denominator and normalized once.  A zero
+    (K+D)^n skips the series power.
+    """
+    scale, b = _inverse_series(n, k)
+    total = Fraction(neg_dn) * b[n]
+    if kd_n:
+        total += Fraction(kd_n, (n + 1) ** n) * _series_power(b, n + 1)[n]
+    return total / scale**n
 
 
 def logarithmic_volume(n: int, k: int, kd_n: Fraction) -> Fraction:

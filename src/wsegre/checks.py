@@ -4,9 +4,9 @@ Each check returns a ``VerificationReport``.  One table, ``_SUITES``, lists
 every check once, in run order, with its arguments for a ``--fast`` run and
 for a full run; a size that never varies is a constant inside its check.
 Suites are deterministic: randomized checks draw from a fixed seed.  On a
-2-vCPU shared Xeon with Python 3.11 the fast suites take about 0.10 s in
-process (0.28 s for a whole ``wsegre verify --fast`` call) and the full
-suites about 0.6 s (1.0 s for ``wsegre verify``).
+2-vCPU shared Xeon with Python 3.11 the fast suites take about 0.1 s in
+process (0.21 s for a whole ``wsegre verify --fast`` call) and the full
+suites about 0.7 s (0.8 s for ``wsegre verify``).
 """
 
 from __future__ import annotations

@@ -8,19 +8,19 @@ prod_{j=1..k} (1 - x/j)^(-mult):
   integer 1..k (indices are forgotten when multiplying).
 * ``sum_nondecreasing``  -- mult = 1; the sum over 1 <= i_1 <= ... <= i_n <= k.
 
-Coefficients are extracted with exact rational arithmetic.  To keep k in the
-thousands tractable, the product is evaluated through its logarithm: with
-p_i = sum_j 1/j^i the coefficients e_d satisfy d*e_d = mult * sum_i p_i*e_{d-i},
-and each p_i is assembled as a single integer sum over the common denominator
-lcm(1..k)^i.  This is the same truncated series, just with one normalization
-instead of k of them.
+Both come from one integer series.  The polynomial
+P(x) = prod_{j=1..k} (j - x) mod x^(n+1) is built one factor at a time, so
+P(0) = k! and prod_{j=1..k} (1 - x/j)^(-1) = k!/P(x).  The coefficient of x^d
+of that inverse is an integer B_d over (k!)^d, and so is the coefficient of
+its mult-th power, which a recurrence with one exact integer division per
+degree gives.  Every step stays in integers; a ``Fraction`` is built only
+for a coefficient that is returned.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 
@@ -35,31 +35,50 @@ def harmonic(k: int) -> Fraction:
     return sum_nondecreasing(1, k)
 
 
-@lru_cache(maxsize=None)
-def _lcm_upto(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out = math.lcm(out, j)
-    return out
+def _inverse_series(n: int, k: int) -> tuple[int, list[int]]:
+    """k! and the integers B_0..B_n with
+    prod_{j=1..k} (1 - x/j)^(-1) = sum_d B_d x^d / (k!)^d  mod x^(n+1).
+
+    P(x) = prod_{j<=k} (j - x) takes p_d <- j*p_d - p_(d-1) per factor.  With
+    q_i = p_i * p_0^(i-1), inverting P/p_0 gives B_d = -sum_i q_i B_(d-i).
+    """
+    p = [1] + [0] * n
+    for j in range(1, k + 1):
+        for d in range(min(j, n), 0, -1):
+            p[d] = j * p[d] - p[d - 1]
+        p[0] *= j
+    scale = p[0]
+    q = [p[i] * scale ** (i - 1) for i in range(1, n + 1)]
+    b = [1]
+    for d in range(1, n + 1):
+        b.append(-sum(q[i - 1] * b[d - i] for i in range(1, d + 1)))
+    return scale, b
 
 
-@lru_cache(maxsize=None)
-def _scaled_power_sum(k: int, i: int) -> int:
-    """sum_{j=1..k} (L/j)^i with L = lcm(1..k), an exact integer."""
-    L = _lcm_upto(k)
-    return sum((L // j) ** i for j in range(1, k + 1))
+def _series_power(b: list[int], mult: int) -> list[int]:
+    """F_0..F_n with (sum_d B_d x^d/s^d)^mult = sum_d F_d x^d/s^d, given B_0 = 1.
+
+    The power rule F' E = mult E' F of F = E^mult gives
+    d F_d = sum_{i=1..d} ((mult+1) i - d) B_i F_(d-i), and F_d is an integer,
+    so the division is exact.
+    """
+    if mult == 1:
+        return b
+    f = [1]
+    for d in range(1, len(b)):
+        total = sum(((mult + 1) * i - d) * b[i] * f[d - i] for i in range(1, d + 1))
+        f.append(total // d)
+    return f
 
 
 def _product_coefficients(n: int, k: int, mult: int) -> list[Fraction]:
     """Coefficients e_0..e_n of prod_{j=1..k} (1 - x/j)^(-mult)."""
-    L = _lcm_upto(k)
-    p = [None] + [
-        Fraction(_scaled_power_sum(k, i), L**i) for i in range(1, n + 1)
-    ]
-    e = [Fraction(1)]
-    for d in range(1, n + 1):
-        e.append(sum(mult * p[i] * e[d - i] for i in range(1, d + 1)) / d)
-    return e
+    scale, b = _inverse_series(n, k)
+    out, den = [], 1
+    for c in _series_power(b, mult):
+        out.append(Fraction(c, den))
+        den *= scale
+    return out
 
 
 def _part_count_sums(values: Sequence[int], k: int, m: int) -> list[int]:
@@ -96,7 +115,8 @@ def sum_repeated(n: int, k: int) -> Fraction:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    return _product_coefficients(n, k, n + 1)[n]
+    scale, b = _inverse_series(n, k)
+    return Fraction(_series_power(b, n + 1)[n], scale**n)
 
 
 def sum_nondecreasing(n: int, k: int) -> Fraction:
@@ -107,7 +127,8 @@ def sum_nondecreasing(n: int, k: int) -> Fraction:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    return _product_coefficients(n, k, 1)[n]
+    scale, b = _inverse_series(n, k)
+    return Fraction(b[n], scale**n)
 
 
 def weighted_partitions(k: int, m: int) -> Iterator[tuple[int, ...]]:

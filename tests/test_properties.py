@@ -1,5 +1,5 @@
 """Property tests: the fast combinatorial paths against the brute-force
-oracles on random inputs."""
+oracles and plain reference series on random inputs."""
 
 import math
 from fractions import Fraction
@@ -7,6 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsegre.bounds import _bracket
 from wsegre.combinatorics import (
     _part_count_sums,
     _product_coefficients,
@@ -50,6 +51,7 @@ def test_part_count_sums_match_enumeration(coeffs, k, m):
         sum(poly(sum(tup)) for tup in weighted_partitions(k, x)) for x in range(m + 1)
     ]
 
+
 @settings(deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=8),
@@ -76,3 +78,58 @@ def test_product_coefficients_match_enumeration(n, k):
         # the multiset enumeration grows fastest; keep it to a few thousand terms
         if math.comb((d + 1) * k + d - 1, d) <= 5000:
             assert _product_coefficients(n, k, d + 1)[d] == sum_repeated_bruteforce(d, k)
+
+
+def _reference_series(n, k, mult):
+    """prod_{j<=k} 1/(1 - x/j) in Fractions, one factor at a time, truncated
+    at degree n and then raised to ``mult`` by repeated truncated products."""
+    c = [Fraction(1)] + [Fraction(0)] * n
+    for j in range(1, k + 1):
+        for d in range(1, n + 1):
+            c[d] += c[d - 1] / j
+    out = [Fraction(1)] + [Fraction(0)] * n
+    for _ in range(mult):
+        out = [sum(out[i] * c[d - i] for i in range(d + 1)) for d in range(n + 1)]
+    return out
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=8),
+    k=st.integers(min_value=1, max_value=300),
+    mult=st.integers(min_value=1, max_value=9),
+)
+def test_product_coefficients_match_reference_series(n, k, mult):
+    assert _product_coefficients(n, k, mult) == _reference_series(n, k, mult)
+
+
+geometry_value = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    k=st.integers(min_value=1, max_value=120),
+    kd_n=geometry_value,
+    neg_dn=geometry_value,
+)
+def test_bracket_matches_the_two_sums(n, k, kd_n, neg_dn):
+    expected = kd_n / (n + 1) ** n * sum_repeated(n, k) + neg_dn * sum_nondecreasing(n, k)
+    assert _bracket(n, k, kd_n, neg_dn) == expected
+
+
+def test_sums_in_the_thousands_match_a_residue_recurrence():
+    # the series of prod_{j<=k} (1 - x/j)^(-mult) modulo a prime, one factor
+    # (1 - x/j)^(-1) at a time: c_d += c_(d-1)/j for d increasing
+    prime, n, k = 2**127 - 1, 3, 3000
+    for mult, value in ((1, sum_nondecreasing(n, k)), (n + 1, sum_repeated(n, k))):
+        c = [1] + [0] * n
+        for j in range(1, k + 1):
+            inv = pow(j, -1, prime)
+            for _ in range(mult):
+                for d in range(1, n + 1):
+                    c[d] = (c[d] + c[d - 1] * inv) % prime
+        assert value.numerator * pow(value.denominator, -1, prime) % prime == c[n]
