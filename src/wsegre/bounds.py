@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .combinatorics import _inverse_series, _series_power
+from .combinatorics import _sum_numerators, sum_nondecreasing, sum_repeated
 
 GAMMA = 0.57721566490153286061  # Euler-Mascheroni
 PI = 3.14159265358979323846
@@ -58,19 +58,28 @@ class GeometryInput:
         return tuple(notes)
 
 
+def _volume(n: int, k: int, kd_n: Fraction, neg_dn: Fraction) -> Fraction:
+    """The volume bound from the two public sums, each read only when its
+    coefficient is nonzero.  Calls go through the module's names for the
+    sums, which traced runs (``perfbench/spans.py``) wrap."""
+    total = Fraction(0)
+    if kd_n:
+        total += Fraction(kd_n) / (n + 1) ** n * sum_repeated(n, k)
+    if neg_dn:
+        total += Fraction(neg_dn) * sum_nondecreasing(n, k)
+    return total / Fraction(math.factorial(k)) ** n
+
+
 def _bracket(n: int, k: int, kd_n: Fraction, neg_dn: Fraction) -> Fraction:
     """(K+D)^n/(n+1)^n * sum_repeated(n,k) + (-D)^n * sum_nondecreasing(n,k),
-    the volume bound times (k!)^n.
+    times their common denominator (k!)^n: the volume bound times (k!)^(2n),
+    of the same sign.
 
-    Both sums share the denominator (k!)^n and one inverse series, so the
-    bracket is built over that denominator and normalized once.  A zero
-    (K+D)^n skips the series power.
+    Both numerators come from one series, and no gcd with (k!)^n is taken.
+    A zero (K+D)^n skips the series power.
     """
-    scale, b = _inverse_series(n, k)
-    total = Fraction(neg_dn) * b[n]
-    if kd_n:
-        total += Fraction(kd_n, (n + 1) ** n) * _series_power(b, n + 1)[n]
-    return total / scale**n
+    nondecreasing, repeated, _ = _sum_numerators(n, k, repeated=bool(kd_n))
+    return Fraction(kd_n) / (n + 1) ** n * repeated + Fraction(neg_dn) * nondecreasing
 
 
 def logarithmic_volume(n: int, k: int, kd_n: Fraction) -> Fraction:
@@ -82,7 +91,7 @@ def logarithmic_volume(n: int, k: int, kd_n: Fraction) -> Fraction:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    return _bracket(n, k, Fraction(kd_n), 0) / Fraction(math.factorial(k)) ** n
+    return _volume(n, k, kd_n, 0)
 
 
 def volume_lower_bound(geometry: GeometryInput, k: int) -> Fraction:
@@ -90,8 +99,7 @@ def volume_lower_bound(geometry: GeometryInput, k: int) -> Fraction:
     compactification: interior term plus the (negative) boundary term."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    bracket = _bracket(geometry.n, k, geometry.kd_n, geometry.neg_dn)
-    return bracket / Fraction(math.factorial(k)) ** geometry.n
+    return _volume(geometry.n, k, geometry.kd_n, geometry.neg_dn)
 
 
 def simple_lower_bound(n: int, k: int, kd_n: Fraction) -> float:
@@ -163,8 +171,8 @@ def threshold_logk(n: int, neg_dn: Optional[Fraction] = None) -> float:
 def find_min_k(geometry: GeometryInput, k_max: int) -> Optional[int]:
     """Smallest k <= k_max with a positive volume lower bound, or None.
 
-    Positivity does not depend on the (k!)^n prefactor, so the search
-    compares the bracket alone, exactly.
+    Positivity does not depend on the (k!)^n prefactors, so the search
+    tests the sign of the unreduced bracket, exactly.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -43,8 +43,9 @@ def _inverse_series(n: int, k: int) -> tuple[int, list[int]]:
     q_i = p_i * p_0^(i-1), inverting P/p_0 gives B_d = -sum_i q_i B_(d-i).
     """
     p = [1] + [0] * n
+    degrees = range(n, 0, -1)  # p_d stays 0 while d exceeds the degree so far
     for j in range(1, k + 1):
-        for d in range(min(j, n), 0, -1):
+        for d in degrees:
             p[d] = j * p[d] - p[d - 1]
         p[0] *= j
     scale = p[0]
@@ -81,6 +82,17 @@ def _product_coefficients(n: int, k: int, mult: int) -> list[Fraction]:
     return out
 
 
+def _sum_numerators(n: int, k: int, repeated: bool = True) -> tuple[int, int, int]:
+    """Integers (N, R, den) with sum_nondecreasing(n, k) = N/den and, when
+    ``repeated``, sum_repeated(n, k) = R/den (R = 0 otherwise); den = (k!)^n.
+
+    Both are x^n coefficients of one inverse series, raised to the powers 1
+    and n+1, so a caller that needs both builds the series once.
+    """
+    scale, b = _inverse_series(n, k)
+    return b[n], _series_power(b, n + 1)[n] if repeated else 0, scale**n
+
+
 def _part_count_sums(values: Sequence[int], k: int, m: int) -> list[int]:
     """Sum of F(J) over the partitions of each x = 0..m into parts <= k, with
     J the number of parts and F the polynomial with F(j) = values[j].
@@ -115,8 +127,8 @@ def sum_repeated(n: int, k: int) -> Fraction:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    scale, b = _inverse_series(n, k)
-    return Fraction(_series_power(b, n + 1)[n], scale**n)
+    _, repeated, den = _sum_numerators(n, k)
+    return Fraction(repeated, den)
 
 
 def sum_nondecreasing(n: int, k: int) -> Fraction:
@@ -127,8 +139,8 @@ def sum_nondecreasing(n: int, k: int) -> Fraction:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    scale, b = _inverse_series(n, k)
-    return Fraction(b[n], scale**n)
+    nondecreasing, _, den = _sum_numerators(n, k, repeated=False)
+    return Fraction(nondecreasing, den)
 
 
 def weighted_partitions(k: int, m: int) -> Iterator[tuple[int, ...]]:

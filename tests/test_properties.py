@@ -118,7 +118,7 @@ geometry_value = st.one_of(
 )
 def test_bracket_matches_the_two_sums(n, k, kd_n, neg_dn):
     expected = kd_n / (n + 1) ** n * sum_repeated(n, k) + neg_dn * sum_nondecreasing(n, k)
-    assert _bracket(n, k, kd_n, neg_dn) == expected
+    assert _bracket(n, k, kd_n, neg_dn) == expected * math.factorial(k) ** n
 
 
 def test_sums_in_the_thousands_match_a_residue_recurrence():
