@@ -10,7 +10,6 @@ from .chow import (
     weighted_tangent_top_segre,
 )
 from .combinatorics import (
-    compositions_count,
     harmonic,
     sum_nondecreasing,
     sum_repeated,
@@ -20,7 +19,6 @@ from .jets import (
     BoundaryData,
     boundary_coeff,
     boundary_jet_sections,
-    conormal_power_sections,
     jet_rank,
 )
 from .bounds import (
@@ -45,7 +43,6 @@ __all__ = [
     "segre_of_weighted_summand",
     "segre_of_weighted_sum",
     "weighted_tangent_top_segre",
-    "compositions_count",
     "harmonic",
     "sum_nondecreasing",
     "sum_repeated",
@@ -53,7 +50,6 @@ __all__ = [
     "BoundaryData",
     "boundary_coeff",
     "boundary_jet_sections",
-    "conormal_power_sections",
     "jet_rank",
     "GAMMA",
     "PI",

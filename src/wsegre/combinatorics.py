@@ -14,12 +14,12 @@ P(0) = k! and prod_{j=1..k} (1 - x/j)^(-1) = k!/P(x).  The coefficient of x^d
 of that inverse is an integer B_d over (k!)^d, and so is the coefficient of
 its mult-th power, which a recurrence with one exact integer division per
 degree gives.  Every step stays in integers; a ``Fraction`` is built only
-for a coefficient that is returned.
+for a coefficient that is returned.  A caller that walks consecutive k reads
+``_inverse_sweep``, which adds one factor to P per k.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -39,8 +39,7 @@ def _inverse_series(n: int, k: int) -> tuple[int, list[int]]:
     """k! and the integers B_0..B_n with
     prod_{j=1..k} (1 - x/j)^(-1) = sum_d B_d x^d / (k!)^d  mod x^(n+1).
 
-    P(x) = prod_{j<=k} (j - x) takes p_d <- j*p_d - p_(d-1) per factor.  With
-    q_i = p_i * p_0^(i-1), inverting P/p_0 gives B_d = -sum_i q_i B_(d-i).
+    P(x) = prod_{j<=k} (j - x) takes p_d <- j*p_d - p_(d-1) per factor.
     """
     p = [1] + [0] * n
     degrees = range(n, 0, -1)  # p_d stays 0 while d exceeds the degree so far
@@ -48,10 +47,34 @@ def _inverse_series(n: int, k: int) -> tuple[int, list[int]]:
         for d in degrees:
             p[d] = j * p[d] - p[d - 1]
         p[0] *= j
+    return _invert(p)
+
+
+def _inverse_sweep(n: int, k_max: int) -> Iterator[tuple[int, int, list[int]]]:
+    """(k, k!, B) with (k!, B) = _inverse_series(n, k), for k = 1..k_max.
+
+    P(x) gains one factor per k, so each further k costs one inversion
+    instead of a rebuild from j = 1.
+    """
+    p = [1] + [0] * n
+    degrees = range(n, 0, -1)
+    for k in range(1, k_max + 1):
+        for d in degrees:
+            p[d] = k * p[d] - p[d - 1]
+        p[0] *= k
+        yield (k, *_invert(p))
+
+
+def _invert(p: list[int]) -> tuple[int, list[int]]:
+    """p_0 and the integers B_0..B_n with p_0/P(x) = sum_d B_d x^d / p_0^d
+    mod x^(n+1), for P(x) = sum_d p_d x^d.
+
+    With q_i = p_i * p_0^(i-1), inverting P/p_0 gives B_d = -sum_i q_i B_(d-i).
+    """
     scale = p[0]
-    q = [p[i] * scale ** (i - 1) for i in range(1, n + 1)]
+    q = [p[i] * scale ** (i - 1) for i in range(1, len(p))]
     b = [1]
-    for d in range(1, n + 1):
+    for d in range(1, len(p)):
         b.append(-sum(q[i - 1] * b[d - i] for i in range(1, d + 1)))
     return scale, b
 
@@ -70,16 +93,6 @@ def _series_power(b: list[int], mult: int) -> list[int]:
         total = sum(((mult + 1) * i - d) * b[i] * f[d - i] for i in range(1, d + 1))
         f.append(total // d)
     return f
-
-
-def _product_coefficients(n: int, k: int, mult: int) -> list[Fraction]:
-    """Coefficients e_0..e_n of prod_{j=1..k} (1 - x/j)^(-mult)."""
-    scale, b = _inverse_series(n, k)
-    out, den = [], 1
-    for c in _series_power(b, mult):
-        out.append(Fraction(c, den))
-        den *= scale
-    return out
 
 
 def _sum_numerators(n: int, k: int, repeated: bool = True) -> tuple[int, int, int]:
@@ -166,15 +179,3 @@ def weighted_partitions(k: int, m: int) -> Iterator[tuple[int, ...]]:
             yield from rec(part - 1, rem - part * count, [count] + suffix)
 
     yield from rec(k, m, [])
-
-
-def compositions_count(n: int, p: int) -> int:
-    """Number of compositions of n into exactly p positive parts
-    (p-1 cuts among n-1 slots).
-
-    >>> compositions_count(4, 2)
-    3
-    """
-    if not 1 <= p <= n:
-        raise ValueError("need 1 <= p <= n")
-    return math.comb(n - 1, p - 1)

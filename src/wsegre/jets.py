@@ -71,22 +71,6 @@ def _rank_profile(n: int, k: int, m_max: int) -> list[int]:
     return profile
 
 
-def conormal_power_sections(s: int, boundary: BoundaryData) -> Fraction:
-    """Sections of the s-th tensor power of the conormal bundle on the
-    boundary: the component count for s = 0, else the Euler characteristic
-    s^(n-1)/(n-1)! * [-(-D)^n] (vanishing in higher degree).
-
-    >>> conormal_power_sections(3, BoundaryData(3, Fraction(1)))
-    Fraction(9, 2)
-    """
-    if s < 0:
-        raise ValueError("tensor power must be >= 0")
-    if s == 0:
-        return Fraction(boundary.components)
-    n = boundary.n
-    return Fraction(s ** (n - 1), math.factorial(n - 1)) * boundary.neg_dn_abs
-
-
 def boundary_jet_sections(k: int, m: int, boundary: BoundaryData) -> Fraction:
     """Exact section count of the graded boundary quotient in order k,
     degree m.

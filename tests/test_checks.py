@@ -2,13 +2,14 @@
 field, so that a faster evaluation of a check must reproduce its report
 exactly."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from wsegre import checks, chow, oracles
+from wsegre import bounds, checks, chow, oracles
 from wsegre.cli import main
-from wsegre.combinatorics import sum_nondecreasing
+from wsegre.combinatorics import harmonic, sum_nondecreasing, sum_repeated
 
 RHS_BOUNDARY = "sum <= (j+1/2)^n/n! + (pi^2/6)(n-2)(j+3/2)^(n-2)"
 RHS_HARMONIC = "(gamma, gamma + 1/2] = (0.577215664902, 1.077215664902]"
@@ -110,13 +111,100 @@ def test_boundary_exact_failure_names_first_k_then_smallest_n(monkeypatch):
     true_rhs = checks._boundary_rhs
 
     def rhs(n, k):
-        return 0.0 if (n, k) in ((7, 5), (4, 9)) else true_rhs(n, k)
+        # the exact part starts at k = 2, so (3, 1) is never checked
+        return 0.0 if (n, k) in ((7, 5), (4, 9), (3, 1)) else true_rhs(n, k)
 
     monkeypatch.setattr(checks, "_boundary_rhs", rhs)
     report = checks.check_boundary_chain(40, (), 10**3)
     assert not report.passed
     assert report.detail == "exact value, n=7, k=5"
     assert report.lhs == str(float(sum_nondecreasing(7, 5)))
+
+
+def _patch_sweep(monkeypatch, at, change):
+    """Make the series of ``checks._inverse_sweep`` at k = ``at`` read
+    ``change(k, k!, B, B of k - 1)`` instead of B."""
+    sweep = checks._inverse_sweep
+
+    def patched(n, k_max):
+        before = None
+        for k, scale, b in sweep(n, k_max):
+            yield k, scale, change(k, scale, b, before) if k == at else b
+            before = b
+
+    monkeypatch.setattr(checks, "_inverse_sweep", patched)
+
+
+def test_interior_exact_failure_report(monkeypatch):
+    # B_2 = 0 at k = 7 takes 3 sum_nondecreasing(2, 7) off sum_repeated(2, 7)
+    # and keeps H_7; n = 1 holds with equality, so n = 2 fails first
+    _patch_sweep(monkeypatch, 7, lambda k, scale, b, before: b[:2] + [0] + b[3:])
+    report = checks.check_interior_chain(5, 40, ())
+    assert _fields(report) == (
+        "interior sum chain", False,
+        str(2 * (sum_repeated(2, 7) - 3 * sum_nondecreasing(2, 7))), str(9 * harmonic(7) ** 2),
+        "exact step, n=2, k=7",
+    )
+    assert (report.lhs, report.rhs) == ("395307/9800", "1185921/19600")
+
+
+def test_interior_float_failure_report(monkeypatch):
+    # H_k - log k falls below 0.6 first at k = 22
+    monkeypatch.setattr(checks, "GAMMA", 0.6)
+    report = checks.check_interior_chain(5, 40, ())
+    assert _fields(report) == (
+        "interior sum chain", False,
+        str(float(2 * harmonic(22))), str(2 * (math.log(22) + 0.6)),
+        "float step, n=1, k=22",
+    )
+    assert (report.lhs, report.rhs) == ("7.38162650043455", "7.382084906716632")
+
+
+def test_monotone_sums_failure_report(monkeypatch):
+    # the series at k = 12 rescaled to the sums at k = 11: B_d 12^d over (12!)^d
+    _patch_sweep(
+        monkeypatch, 12, lambda k, scale, b, before: [c * k**d for d, c in enumerate(before)]
+    )
+    report = checks.check_monotone_sums()
+    expected = str(sum_repeated(1, 11))
+    assert _fields(report) == (
+        "sums increase with k", False, expected, expected, "repeated, n=1, k=11"
+    )
+    assert expected == "83711/13860"
+
+
+def test_open_bound_failure_names_smallest_n_then_first_k(monkeypatch):
+    true_simple = bounds.simple_lower_bound
+
+    def exact(n, k):
+        return float(bounds.logarithmic_volume(n, k, Fraction(1)))
+
+    def simple(n, k, kd_n):
+        return 2 * exact(n, k) if (n, k) in ((2, 30), (3, 5), (4, 2)) else true_simple(n, k, kd_n)
+
+    monkeypatch.setattr(bounds, "simple_lower_bound", simple)
+    report = checks.check_simple_bound_dominated(40)
+    assert _fields(report) == (
+        "open bound below exact volume", False,
+        str(2 * exact(2, 30)), str(exact(2, 30)), "n=2, k=30",
+    )
+    assert report.rhs == "1.1723650759436195e-64"
+
+
+@pytest.mark.parametrize("gamma,k,lhs,rhs", [
+    # H_k - log k falls from 1 at k = 1: to 0.58 first at k = 180, and above
+    # 0.45 + 1/2 only at k = 1
+    (0.58, 180, "0.5799908706707875", "(0.58, 1.08)"),
+    (0.45, 1, "1.0", "(0.45, 0.95)"),
+])
+def test_harmonic_bracketing_failure_names_first_k(monkeypatch, gamma, k, lhs, rhs):
+    monkeypatch.setattr(checks, "GAMMA", gamma)
+    report = checks.check_harmonic_bracketing(10**5)
+    assert _fields(report) == (
+        "harmonic bracketing", False,
+        str(float(harmonic(k)) - math.log(k)), str((gamma, gamma + 0.5)), f"k={k}",
+    )
+    assert (report.lhs, report.rhs) == (lhs, rhs)
 
 
 HUGE = Fraction(10**5000 + 1, 3)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from wsegre.combinatorics import (
-    compositions_count,
     harmonic,
     sum_nondecreasing,
     sum_repeated,
@@ -127,21 +126,3 @@ class TestWeightedPartitions:
             list(weighted_partitions(0, 1))
         with pytest.raises(ValueError):
             list(weighted_partitions(2, -1))
-
-
-class TestCompositionsCount:
-    def test_values(self):
-        assert compositions_count(4, 2) == 3
-        assert compositions_count(9, 1) == 1
-        assert compositions_count(9, 9) == 1
-
-    def test_row_sums(self):
-        # compositions of n into any number of parts: 2^(n-1)
-        for n in range(1, 12):
-            assert sum(compositions_count(n, p) for p in range(1, n + 1)) == 2 ** (n - 1)
-
-    def test_range_errors(self):
-        with pytest.raises(ValueError):
-            compositions_count(4, 0)
-        with pytest.raises(ValueError):
-            compositions_count(4, 5)

@@ -11,7 +11,6 @@ from wsegre.jets import (
     _rank_profile,
     boundary_coeff,
     boundary_jet_sections,
-    conormal_power_sections,
     jet_rank,
 )
 from wsegre.oracles import count_partitions_max_part, count_weighted_monomials
@@ -32,8 +31,13 @@ def boundary_sections_reference(k, m, b):
                 if jt[i] < 1:
                     continue
                 prefix = sum(jt[:i])
-                for s in range(jt[i]):
-                    block += conormal_power_sections(prefix + s, b)
+                for s in range(prefix, prefix + jt[i]):
+                    # sections of the s-th conormal power: the component
+                    # count at s = 0, else s^(n-1)/(n-1)! * -(-D)^n
+                    if s == 0:
+                        block += b.components
+                    else:
+                        block += Fraction(s ** (n - 1), math.factorial(n - 1)) * b.neg_dn_abs
         rank = 0
         for lt in weighted_partitions(k, m - r):
             term = 1
@@ -100,24 +104,6 @@ def test_rank_profile_counts_weighted_monomials(n, k, m_max):
     assert _rank_profile(n, k, m_max) == [
         count_weighted_monomials(weights, m) for m in range(m_max + 1)
     ]
-
-class TestConormalPowerSections:
-    def test_zeroth_power_counts_components(self):
-        assert conormal_power_sections(0, BoundaryData(2, Fraction(9), 1)) == 1
-        assert conormal_power_sections(0, BoundaryData(2, Fraction(9), 4)) == 4
-
-    def test_first_power_surface(self):
-        beta = Fraction(5, 3)
-        assert conormal_power_sections(1, BoundaryData(2, beta)) == beta
-
-    def test_cubed_threefold(self):
-        beta = Fraction(2, 7)
-        assert conormal_power_sections(3, BoundaryData(3, beta)) == Fraction(9, 2) * beta
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            conormal_power_sections(-1, BoundaryData(2, Fraction(1)))
-
 
 class TestBoundaryJetSections:
     def test_degree_zero_vanishes(self):

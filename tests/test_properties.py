@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from wsegre.bounds import _bracket
 from wsegre.combinatorics import (
+    _inverse_series,
+    _inverse_sweep,
     _part_count_sums,
-    _product_coefficients,
+    _series_power,
     sum_nondecreasing,
     sum_repeated,
     weighted_partitions,
@@ -50,6 +52,26 @@ def test_part_count_sums_match_enumeration(coeffs, k, m):
     assert sums == [
         sum(poly(sum(tup)) for tup in weighted_partitions(k, x)) for x in range(m + 1)
     ]
+
+
+def _product_coefficients(n, k, mult):
+    """Coefficients e_0..e_n of prod_{j=1..k} (1 - x/j)^(-mult), from the
+    integer series: F_d over (k!)^d."""
+    scale, b = _inverse_series(n, k)
+    return [Fraction(c, scale**d) for d, c in enumerate(_series_power(b, mult))]
+
+
+@settings(deadline=None)
+@given(n=st.integers(min_value=1, max_value=8), k_max=st.integers(min_value=1, max_value=60))
+def test_inverse_sweep_steps_the_cold_series(n, k_max):
+    # the series the chain checks of ``verify`` walk are those of the public sums
+    ks = []
+    for k, scale, b in _inverse_sweep(n, k_max):
+        ks.append(k)
+        assert (scale, b) == _inverse_series(n, k)
+        assert Fraction(b[n], scale**n) == sum_nondecreasing(n, k)
+        assert Fraction(_series_power(b, n + 1)[n], scale**n) == sum_repeated(n, k)
+    assert ks == list(range(1, k_max + 1))
 
 
 @settings(deadline=None)
