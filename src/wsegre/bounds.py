@@ -13,6 +13,7 @@ the order-k jet tautological bundle is big.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -22,6 +23,7 @@ from .combinatorics import _sum_numerators, sum_nondecreasing, sum_repeated
 GAMMA = 0.57721566490153286061  # Euler-Mascheroni
 PI = 3.14159265358979323846
 _NEG_DN_WARNING = "(-D)^n >= 0: expected a negative signed value"
+_FLOAT_FACTORIAL_MAX = 170  # 170! < sys.float_info.max < 171!
 
 
 @dataclass(frozen=True)
@@ -155,17 +157,31 @@ def threshold_logk(n: int, neg_dn: Optional[Fraction] = None) -> float:
     big on an n-dimensional compactified ball quotient.
 
     For n >= 6 the threshold is uniform; for n in {4, 5} it depends on the
-    signed boundary self-intersection (-D)^n.
+    signed boundary self-intersection (-D)^n.  A threshold past the float
+    range raises ``ValueError``, before any factorial past that range is
+    computed.
     """
     if n <= 3:
         raise ValueError("thresholds start at n = 4")
     if n >= 6:
-        numerator = (PI * PI / 6) * (n - 2) * math.factorial(n) + 1
-        return -GAMMA + numerator / ((n + 1) / (2 * PI) - 1)
-    if neg_dn is None:
-        raise ValueError(f"n = {n} needs the signed value (-D)^n")
-    coeff = (n - 2) * math.factorial(n) + 1
-    return -GAMMA - float(neg_dn) * coeff
+        if n > _FLOAT_FACTORIAL_MAX:
+            value = math.inf  # n! alone is past the float range
+        else:
+            numerator = (PI * PI / 6) * (n - 2) * math.factorial(n) + 1
+            value = -GAMMA + numerator / ((n + 1) / (2 * PI) - 1)
+    else:
+        if neg_dn is None:
+            raise ValueError(f"n = {n} needs the signed value (-D)^n")
+        coeff = (n - 2) * math.factorial(n) + 1
+        try:
+            value = -GAMMA - float(neg_dn) * coeff
+        except OverflowError:  # (-D)^n alone is past the float range
+            value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"threshold log k for n = {n} is past the float range (|x| <= {sys.float_info.max:.4g})"
+        )
+    return value
 
 
 def find_min_k(geometry: GeometryInput, k_max: int) -> Optional[int]:

@@ -6,10 +6,10 @@ throughout; there is no floating point in this module.
 
 The arithmetic runs on integer numerators.  A class is written C/D, with C a
 list of integers and D one common denominator.  A product convolves the
-integer lists, an inverse runs an integer recurrence, and the weighted
-Whitney product keeps one running integer product over all its summands.
-Each output coefficient is then normalized once, by one ``Fraction(num,
-den)``, so no gcd runs inside a loop.
+integer lists, an inverse runs the integer recurrence that also inverts the
+reciprocal sums' series, and the weighted Whitney product keeps one running
+integer product over all its summands.  Each output coefficient is then
+normalized once, by one ``Fraction(num, den)``, so no gcd runs inside a loop.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .combinatorics import _invert
 
 
 def _to_fractions(coeffs: Iterable) -> tuple[Fraction, ...]:
@@ -84,10 +86,6 @@ class TotalClass:
     def unit(cls, dim: int) -> "TotalClass":
         return cls(dim, (1,))
 
-    @classmethod
-    def hyperplane(cls, dim: int) -> "TotalClass":
-        return cls(dim, (0, 1))
-
     def __mul__(self, other):
         if isinstance(other, TotalClass):
             if self.dim != other.dim:
@@ -109,20 +107,16 @@ class TotalClass:
         """Multiplicative inverse; requires a nonzero constant term.
 
         With the class written C/D, the inverse has coefficient
-        D·Q_d / C_0^(d+1) in degree d, where Q_0 = 1 and
-        Q_d = -sum_{i=1..d} C_i·C_0^(i-1)·Q_(d-i) are integers.
+        D·Q_d / C_0^(d+1) in degree d, where C_0/C(x) = sum_d Q_d x^d / C_0^d
+        gives the integers Q_d (``combinatorics._invert``).
         """
         if self.coeffs[0] == 0:
             raise ValueError("cannot invert a class with zero constant term")
-        n = self.dim
         c, den = _integer_form(self.coeffs)
-        powers = [1]
-        for _ in range(n + 1):
-            powers.append(powers[-1] * c[0])
-        q = [1]
-        for d in range(1, n + 1):
-            q.append(-sum(c[i] * powers[i - 1] * q[d - i] for i in range(1, d + 1)))
-        return TotalClass._of(n, (Fraction(den * q[d], powers[d + 1]) for d in range(n + 1)))
+        c0, q = _invert(c)
+        return TotalClass._of(
+            self.dim, (Fraction(den * q_d, c0 ** (d + 1)) for d, q_d in enumerate(q))
+        )
 
     def __pow__(self, e: int) -> "TotalClass":
         if not isinstance(e, int):

@@ -8,20 +8,22 @@ prod_{j=1..k} (1 - x/j)^(-mult):
   integer 1..k (indices are forgotten when multiplying).
 * ``sum_nondecreasing``  -- mult = 1; the sum over 1 <= i_1 <= ... <= i_n <= k.
 
-Both come from one integer series.  The polynomial
-P(x) = prod_{j=1..k} (j - x) mod x^(n+1) is built one factor at a time, so
-P(0) = k! and prod_{j=1..k} (1 - x/j)^(-1) = k!/P(x).  The coefficient of x^d
-of that inverse is an integer B_d over (k!)^d, and so is the coefficient of
-its mult-th power, which a recurrence with one exact integer division per
-degree gives.  Every step stays in integers; a ``Fraction`` is built only
-for a coefficient that is returned.  A caller that walks consecutive k reads
-``_inverse_sweep``, which adds one factor to P per k.
+Both come from one integer series, walked by ``_inverse_at``.  The walk
+builds P(x) = prod_{j=1..k} (j - x) mod x^(n+1) one factor at a time, and at
+each order k a caller asks for it inverts P: P(0) = k! and
+prod_{j=1..k} (1 - x/j)^(-1) = k!/P(x).  The coefficient of x^d of that
+inverse is an integer B_d over (k!)^d, and so is the coefficient of its
+mult-th power, which a recurrence with one exact integer division per degree
+gives.  The public sums read the walk at one k; a caller that needs many
+orders in increasing k reads one walk, which pays each factor once.  Every
+step stays in integers; a ``Fraction`` is built only for a coefficient that
+is returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def harmonic(k: int) -> Fraction:
@@ -35,33 +37,25 @@ def harmonic(k: int) -> Fraction:
     return sum_nondecreasing(1, k)
 
 
-def _inverse_series(n: int, k: int) -> tuple[int, list[int]]:
-    """k! and the integers B_0..B_n with
+def _inverse_at(n: int, ks: Iterable[int]) -> Iterator[tuple[int, int, list[int]]]:
+    """(k, k!, B) for each k of the strictly increasing ``ks``, with the
+    integers B_0..B_n of
     prod_{j=1..k} (1 - x/j)^(-1) = sum_d B_d x^d / (k!)^d  mod x^(n+1).
 
-    P(x) = prod_{j<=k} (j - x) takes p_d <- j*p_d - p_(d-1) per factor.
+    P(x) = prod_{j<=k} (j - x) takes p_d <- j*p_d - p_(d-1) per factor, from
+    the previous k to the next, and is inverted only at each k of ``ks``.
     """
     p = [1] + [0] * n
     degrees = range(n, 0, -1)  # p_d stays 0 while d exceeds the degree so far
-    for j in range(1, k + 1):
-        for d in degrees:
-            p[d] = j * p[d] - p[d - 1]
-        p[0] *= j
-    return _invert(p)
-
-
-def _inverse_sweep(n: int, k_max: int) -> Iterator[tuple[int, int, list[int]]]:
-    """(k, k!, B) with (k!, B) = _inverse_series(n, k), for k = 1..k_max.
-
-    P(x) gains one factor per k, so each further k costs one inversion
-    instead of a rebuild from j = 1.
-    """
-    p = [1] + [0] * n
-    degrees = range(n, 0, -1)
-    for k in range(1, k_max + 1):
-        for d in degrees:
-            p[d] = k * p[d] - p[d - 1]
-        p[0] *= k
+    last = 0
+    for k in ks:
+        if k <= last:
+            raise ValueError(f"orders must increase strictly from 0: {k} after {last}")
+        for j in range(last + 1, k + 1):
+            for d in degrees:
+                p[d] = j * p[d] - p[d - 1]
+            p[0] *= j
+        last = k
         yield (k, *_invert(p))
 
 
@@ -102,7 +96,7 @@ def _sum_numerators(n: int, k: int, repeated: bool = True) -> tuple[int, int, in
     Both are x^n coefficients of one inverse series, raised to the powers 1
     and n+1, so a caller that needs both builds the series once.
     """
-    scale, b = _inverse_series(n, k)
+    _, scale, b = next(_inverse_at(n, (k,)))
     return b[n], _series_power(b, n + 1)[n] if repeated else 0, scale**n
 
 

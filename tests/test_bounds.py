@@ -159,6 +159,14 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold_logk(4)  # missing boundary intersection
 
+    @pytest.mark.parametrize("n", [170, 10**6])
+    def test_past_the_float_range(self, n):
+        # 170! is a float but the threshold is not; 10**6! is neither, and
+        # the error comes before it is computed
+        assert math.isfinite(threshold_logk(169))
+        with pytest.raises(ValueError, match="float range"):
+            threshold_logk(n)
+
     def test_threshold_solves_linearized_condition(self):
         for n in (6, 7, 8):
             j = threshold_logk(n) + GAMMA

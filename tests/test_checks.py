@@ -121,24 +121,24 @@ def test_boundary_exact_failure_names_first_k_then_smallest_n(monkeypatch):
     assert report.lhs == str(float(sum_nondecreasing(7, 5)))
 
 
-def _patch_sweep(monkeypatch, at, change):
-    """Make the series of ``checks._inverse_sweep`` at k = ``at`` read
-    ``change(k, k!, B, B of k - 1)`` instead of B."""
-    sweep = checks._inverse_sweep
+def _patch_walk(monkeypatch, at, change):
+    """Make the series of ``checks._inverse_at`` at k = ``at`` read
+    ``change(k, k!, B, B of the previous k)`` instead of B."""
+    walk = checks._inverse_at
 
-    def patched(n, k_max):
+    def patched(n, ks):
         before = None
-        for k, scale, b in sweep(n, k_max):
+        for k, scale, b in walk(n, ks):
             yield k, scale, change(k, scale, b, before) if k == at else b
             before = b
 
-    monkeypatch.setattr(checks, "_inverse_sweep", patched)
+    monkeypatch.setattr(checks, "_inverse_at", patched)
 
 
 def test_interior_exact_failure_report(monkeypatch):
     # B_2 = 0 at k = 7 takes 3 sum_nondecreasing(2, 7) off sum_repeated(2, 7)
     # and keeps H_7; n = 1 holds with equality, so n = 2 fails first
-    _patch_sweep(monkeypatch, 7, lambda k, scale, b, before: b[:2] + [0] + b[3:])
+    _patch_walk(monkeypatch, 7, lambda k, scale, b, before: b[:2] + [0] + b[3:])
     report = checks.check_interior_chain(5, 40, ())
     assert _fields(report) == (
         "interior sum chain", False,
@@ -162,7 +162,7 @@ def test_interior_float_failure_report(monkeypatch):
 
 def test_monotone_sums_failure_report(monkeypatch):
     # the series at k = 12 rescaled to the sums at k = 11: B_d 12^d over (12!)^d
-    _patch_sweep(
+    _patch_walk(
         monkeypatch, 12, lambda k, scale, b, before: [c * k**d for d, c in enumerate(before)]
     )
     report = checks.check_monotone_sums()

@@ -188,6 +188,12 @@ class TestThresholdCommand:
         else:
             assert out.splitlines()[-1] == "min integer k: 1"
 
+    @pytest.mark.parametrize("n", ["170", "1000000"])
+    def test_past_the_float_range_is_an_error(self, capsys, n):
+        code, out, err = run(capsys, "threshold", "--n", n)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "float range" in err
+
     def test_negative_boundary_number_does_not_warn(self, capsys):
         code, out, err = run(capsys, "threshold", "--n", "4", "--neg-dn=-1/3", "--format", "json")
         assert (code, err) == (0, "")

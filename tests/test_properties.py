@@ -4,13 +4,13 @@ oracles and plain reference series on random inputs."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsegre.bounds import _bracket
 from wsegre.combinatorics import (
-    _inverse_series,
-    _inverse_sweep,
+    _inverse_at,
     _part_count_sums,
     _series_power,
     sum_nondecreasing,
@@ -57,21 +57,42 @@ def test_part_count_sums_match_enumeration(coeffs, k, m):
 def _product_coefficients(n, k, mult):
     """Coefficients e_0..e_n of prod_{j=1..k} (1 - x/j)^(-mult), from the
     integer series: F_d over (k!)^d."""
-    scale, b = _inverse_series(n, k)
+    _, scale, b = next(_inverse_at(n, (k,)))
     return [Fraction(c, scale**d) for d, c in enumerate(_series_power(b, mult))]
+
+
+def _assert_walk_reads_the_sums(n, ks):
+    # each order the walk yields is the series the public sums read there
+    walked = []
+    for k, scale, b in _inverse_at(n, ks):
+        walked.append(k)
+        assert (k, scale, b) == next(_inverse_at(n, (k,)))
+        assert Fraction(b[n], scale**n) == sum_nondecreasing(n, k)
+        assert Fraction(_series_power(b, n + 1)[n], scale**n) == sum_repeated(n, k)
+    assert walked == list(ks)
 
 
 @settings(deadline=None)
 @given(n=st.integers(min_value=1, max_value=8), k_max=st.integers(min_value=1, max_value=60))
 def test_inverse_sweep_steps_the_cold_series(n, k_max):
     # the series the chain checks of ``verify`` walk are those of the public sums
-    ks = []
-    for k, scale, b in _inverse_sweep(n, k_max):
-        ks.append(k)
-        assert (scale, b) == _inverse_series(n, k)
-        assert Fraction(b[n], scale**n) == sum_nondecreasing(n, k)
-        assert Fraction(_series_power(b, n + 1)[n], scale**n) == sum_repeated(n, k)
-    assert ks == list(range(1, k_max + 1))
+    _assert_walk_reads_the_sums(n, range(1, k_max + 1))
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    ks=st.lists(
+        st.integers(min_value=1, max_value=60), min_size=1, max_size=8, unique=True
+    ).map(sorted),
+    repeat=st.integers(min_value=0, max_value=7),
+)
+def test_inverse_walk_reads_each_requested_order(n, ks, repeat):
+    # gaps between the orders are stepped over
+    _assert_walk_reads_the_sums(n, ks)
+    # an order that is not above the previous one would read the wrong series
+    with pytest.raises(ValueError, match="increase strictly"):
+        list(_inverse_at(n, ks + [ks[repeat % len(ks)]]))
 
 
 @settings(deadline=None)
