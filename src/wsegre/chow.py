@@ -199,34 +199,20 @@ def projective_tangent_segre(n: int) -> TotalClass:
 def segre_of_weighted_summand(summand: WeightedSummand) -> TotalClass:
     """Total Segre class of a single weighted summand E^(a).
 
-    Degree-j coefficient is s_j(E) / a^(rank - 1 + j); weight 1 returns the
-    input class unchanged.
+    Degree-j coefficient is s_j(E) / a^(rank - 1 + j): the weighted Whitney
+    product of one summand, whose prefactor gcd/prod is a/a.
     """
-    if summand.weight == 1:
-        return summand.segre
-    nums, den = _weighted_integer_form(summand)
-    return TotalClass._of(summand.segre.dim, (Fraction(c, den) for c in nums))
-
-
-def _weighted_integer_form(summand: WeightedSummand) -> tuple[list[int], int]:
-    """Integers T and one denominator D with T[j] / D the degree-j
-    coefficient s_j / a^(rank-1+j) of E^(a).
-
-    Every coefficient goes over a^(rank-1+dim), so T[j] = S_j·a^(dim-j) when
-    the Segre class is S/D_s.
-    """
-    nums, den = _integer_form(summand.segre.coeffs)
-    a, n = summand.weight, summand.segre.dim
-    return [c * a ** (n - j) for j, c in enumerate(nums)], den * a ** (summand.rank - 1 + n)
+    return segre_of_weighted_sum([summand])
 
 
 def segre_of_weighted_sum(summands: Sequence[WeightedSummand]) -> TotalClass:
     """Total Segre class of a weighted direct sum.
 
     Whitney-type product: gcd(a_1..a_p)/(a_1*...*a_p) times the product of the
-    per-summand classes.  With all weights 1 this is the classical Whitney
-    product.  One integer product runs over all summands, and the prefactor
-    folds into the final normalization.
+    per-summand classes E^(a), whose degree-j coefficient is
+    s_j(E) / a^(rank - 1 + j).  With all weights 1 this is the classical
+    Whitney product.  One integer product runs over all summands, and the
+    prefactor folds into the final normalization.
     """
     if not summands:
         raise ValueError("weighted sum needs at least one summand")
@@ -237,9 +223,11 @@ def segre_of_weighted_sum(summands: Sequence[WeightedSummand]) -> TotalClass:
     weights = [s.weight for s in summands]
     product, den = [1] + [0] * n, math.prod(weights)
     for s in summands:
-        nums, s_den = _weighted_integer_form(s)
-        product = _convolve(product, nums, n)
-        den *= s_den
+        # with s_j = S_j / D_s, every coefficient goes over D_s·a^(rank-1+n)
+        nums, s_den = _integer_form(s.segre.coeffs)
+        a = s.weight
+        product = _convolve(product, [c * a ** (n - j) for j, c in enumerate(nums)], n)
+        den *= s_den * a ** (s.rank - 1 + n)
     gcd = math.gcd(*weights)
     return TotalClass._of(n, (Fraction(gcd * c, den) for c in product))
 

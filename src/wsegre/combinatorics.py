@@ -172,4 +172,6 @@ def weighted_partitions(k: int, m: int) -> Iterator[tuple[int, ...]]:
         for count in range(rem // part, -1, -1):
             yield from rec(part - 1, rem - part * count, [count] + suffix)
 
-    yield from rec(k, m, [])
+    # a part larger than m occurs 0 times, so the recursion depth is min(k, m)
+    top = max(min(k, m), 1)
+    yield from rec(top, m, [0] * (k - top))

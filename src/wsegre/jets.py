@@ -4,8 +4,10 @@
 jet algebra on an n-fold.  ``boundary_jet_sections`` evaluates, exactly, the
 number of independent sections of the graded boundary quotient that separates
 logarithmic jet differentials from standard ones: an n-fold compactified by a
-disjoint union of abelian hypersurfaces with ample conormal bundle, in
-O(n*k*m) integer additions and no partition enumeration.
+disjoint union of abelian hypersurfaces with ample conormal bundle.  It reads
+every conormal power, 0 included, from one weighted part-count table and the
+boundary's own rank profile, in O(n*k*m) integer additions and no partition
+enumeration.
 """
 
 from __future__ import annotations
@@ -79,27 +81,27 @@ def boundary_jet_sections(k: int, m: int, boundary: BoundaryData) -> Fraction:
     transverse to the boundary) tensored with the degree-(m-r) jet algebra of
     the boundary itself.  In the block at r, a tuple (j_1..j_k) with
     sum_i i*j_i = r and J = j_1+...+j_k parts meets the conormal powers
-    0..J-1 once each.  Power 0 gives the component count once for each tuple
-    with J >= 1; summed against the boundary's rank profile those tuples
-    number jet_rank(n, k, m) - jet_rank(n - 1, k, m), because
-    prod_t (1 - y^t)^(-1) * prod_t (1 - y^t)^(-(n-1)) = prod_t (1 - y^t)^(-n).
-    The powers s >= 1 give sum_{s<J} s^(n-1) (a degree-n polynomial in J)
-    times -(-D)^n/(n-1)!, which a part-count table sums over the partitions
-    of every r <= m at once.  The cost is O(n*k*m) integer additions.
+    0..J-1 once each.  Power 0 weighs the component count and a power s >= 1
+    weighs -(-D)^n*s^(n-1)/(n-1)!, so a tuple weighs a degree-n polynomial in
+    J, and one part-count table sums it over the tuples of every r <= m.
+    The weights are scaled to integers by (n-1)!*den(-(-D)^n).  At J = 0 the
+    polynomial reads the component count, but the empty tuple, the only one
+    at r = 0, meets no power, so block 0 is left out.  The cost is O(n*k*m)
+    integer additions.
     """
     if k < 1 or m < 0:
         raise ValueError("need k >= 1, m >= 0")
     n = boundary.n
-    # F(J) = sum_{s<J} s^(n-1) at J = 0..n; the s = 0 term is 0 as n >= 2
-    faulhaber = list(accumulate((s ** (n - 1) for s in range(n)), initial=0))
-    powers = _part_count_sums(faulhaber, k, m)
-    profile = _rank_profile(n - 1, k, m)
-    zero_layers = _rank_profile(n, k, m)[m] - profile[m]
-    power_layers = sum(powers[r] * profile[m - r] for r in range(m + 1))
-    return (
-        boundary.components * zero_layers
-        + Fraction(power_layers, math.factorial(n - 1)) * boundary.neg_dn_abs
+    neg_dn_abs = boundary.neg_dn_abs
+    scale = math.factorial(n - 1) * neg_dn_abs.denominator
+    # the weight polynomial at J = 0..n; the s = 0 term of s^(n-1) is 0 as n >= 2
+    weights = accumulate(
+        (neg_dn_abs.numerator * s ** (n - 1) for s in range(n)),
+        initial=boundary.components * scale,
     )
+    layers = _part_count_sums(list(weights), k, m)
+    profile = _rank_profile(n - 1, k, m)
+    return Fraction(sum(layers[r] * profile[m - r] for r in range(1, m + 1)), scale)
 
 
 def boundary_coeff(n: int, k: int) -> Fraction:

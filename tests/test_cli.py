@@ -227,6 +227,11 @@ class TestRanksCommand:
         assert code == 0
         assert out.strip() == "3"
 
+    def test_order_far_above_degree(self, capsys):
+        code, out, _ = run(capsys, "ranks", "--n", "1", "--k", "1500", "--m", "3")
+        assert code == 0
+        assert out.strip() == "3"
+
 
 class TestBoundaryCommand:
     def test_small_case(self, capsys):
@@ -280,7 +285,10 @@ class TestVerifyCommand:
         def corrupted(summands):
             out = chow.TotalClass.unit(summands[0].segre.dim)
             for s in summands:
-                out = out * chow.segre_of_weighted_summand(s)
+                # E^(a) from its closed form s_j / a^(rank-1+j)
+                a = Fraction(s.weight)
+                closed = (c / a ** (s.rank - 1 + j) for j, c in enumerate(s.segre.coeffs))
+                out = out * chow.TotalClass(s.segre.dim, closed)
             return out  # prefactor dropped
 
         monkeypatch.setattr(chow, "segre_of_weighted_sum", corrupted)

@@ -111,6 +111,12 @@ class TestWeightedPartitions:
     def test_zero_degree(self):
         assert list(weighted_partitions(4, 0)) == [(0, 0, 0, 0)]
 
+    def test_order_above_degree_pads_with_zeros(self):
+        for k, m in ((1500, 3), (7, 4), (5, 1), (3, 0)):
+            padding = (0,) * (k - max(m, 1))
+            expected = [tup + padding for tup in weighted_partitions(max(m, 1), m)]
+            assert list(weighted_partitions(k, m)) == expected
+
     def test_weights_and_uniqueness(self):
         for k in range(1, 5):
             for m in range(12):

@@ -107,6 +107,10 @@ class TestPartitionPowerSum:
                     r**n, math.factorial(n)
                 )
 
+    def test_order_far_above_degree(self):
+        # parts above r never occur, so the enumeration does not recurse k deep
+        assert partition_power_sum(1, 1500, 3) == partition_power_sum(1, 3, 3) == 6
+
     def test_monotone_in_degree(self):
         for n, k in ((1, 2), (2, 3)):
             values = [partition_power_sum(n, k, r) for r in range(1, 40)]
