@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .combinatorics import _sum_numerators, sum_nondecreasing, sum_repeated
+from .combinatorics import _inverse_at, _series_power, sum_nondecreasing, sum_repeated
 
 GAMMA = 0.57721566490153286061  # Euler-Mascheroni
 PI = 3.14159265358979323846
@@ -70,18 +70,6 @@ def _volume(n: int, k: int, kd_n: Fraction, neg_dn: Fraction) -> Fraction:
     if neg_dn:
         total += Fraction(neg_dn) * sum_nondecreasing(n, k)
     return total / Fraction(math.factorial(k)) ** n
-
-
-def _bracket(n: int, k: int, kd_n: Fraction, neg_dn: Fraction) -> Fraction:
-    """(K+D)^n/(n+1)^n * sum_repeated(n,k) + (-D)^n * sum_nondecreasing(n,k),
-    times their common denominator (k!)^n: the volume bound times (k!)^(2n),
-    of the same sign.
-
-    Both numerators come from one series, and no gcd with (k!)^n is taken.
-    A zero (K+D)^n skips the series power.
-    """
-    nondecreasing, repeated, _ = _sum_numerators(n, k, repeated=bool(kd_n))
-    return Fraction(kd_n) / (n + 1) ** n * repeated + Fraction(neg_dn) * nondecreasing
 
 
 def logarithmic_volume(n: int, k: int, kd_n: Fraction) -> Fraction:
@@ -140,8 +128,6 @@ def boundary_factor(k_log: float, n: int) -> float:
     if j <= 0:
         raise ValueError("log k + gamma must be positive")
     head = (1 + 1 / (2 * j)) ** n
-    if n == 2:
-        return head
     tail = (
         (PI * PI / 6)
         * (n - 2)
@@ -187,13 +173,22 @@ def threshold_logk(n: int, neg_dn: Optional[Fraction] = None) -> float:
 def find_min_k(geometry: GeometryInput, k_max: int) -> Optional[int]:
     """Smallest k <= k_max with a positive volume lower bound, or None.
 
-    Positivity does not depend on the (k!)^n prefactors, so the search
-    tests the sign of the unreduced bracket, exactly.
+    With sum_repeated(n,k) = R/(k!)^n and sum_nondecreasing(n,k) = N/(k!)^n,
+    the bound times (k!)^(2n) (n+1)^n den((K+D)^n) den((-D)^n) is
+    num((K+D)^n) den((-D)^n) R + num((-D)^n) den((K+D)^n) (n+1)^n N, of the
+    same sign, so the search tests that sign in integers.  A zero (K+D)^n
+    skips the series power.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    n, kd_n, neg_dn = geometry.n, geometry.kd_n, geometry.neg_dn
+    interior = kd_n.numerator * neg_dn.denominator
+    boundary = neg_dn.numerator * kd_n.denominator * (n + 1) ** n
     for k in range(1, k_max + 1):
-        if _bracket(geometry.n, k, geometry.kd_n, geometry.neg_dn) > 0:
+        # one cold series per k: one walk over 1..k_max waits on perfbench's memory fix
+        _, _, b = next(_inverse_at(n, (k,)))
+        repeated = _series_power(b, n + 1)[n] if interior else 0
+        if interior * repeated + boundary * b[n] > 0:
             return k
     return None
 

@@ -267,8 +267,7 @@ def check_monomial_quasipolynomial() -> VerificationReport:
     )
 
 
-def check_orbifold_growth(fast: bool) -> VerificationReport:
-    steps = 500 if fast else 2000
+def check_orbifold_growth(steps: int) -> VerificationReport:
     for weights in ((1, 1), (1, 2), (1, 2, 3), (2, 4, 6)):
         rep = oracles.check_orbifold_h0(weights, steps * math.lcm(*weights))
         if not rep.passed:
@@ -428,9 +427,9 @@ def check_harmonic_bracketing(k_max: int) -> VerificationReport:
     )
 
 
-def check_partition_power_growth(fast: bool) -> VerificationReport:
-    pairs = ((1, 1), (1, 2), (2, 2)) if fast else ((1, 1), (1, 2), (2, 2), (2, 3))
-    r_max = 150 if fast else 500
+def check_partition_power_growth(
+    pairs: Sequence[tuple[int, int]], r_max: int
+) -> VerificationReport:
     for n, k in pairs:
         rep = oracles.check_partition_power_growth(n, k, r_max)
         if not rep.passed:
@@ -544,7 +543,7 @@ _SUITES = {
         ("check_jet_rank_partitions", (15,), (30,)),
         ("check_rank_telescoping", (), ()),
         ("check_monomial_quasipolynomial", (), ()),
-        ("check_orbifold_growth", (True,), (False,)),
+        ("check_orbifold_growth", (500,), (2000,)),
         ("check_partition_power_examples", (), ()),
         ("check_boundary_leading_coefficient", None, ()),
     ),
@@ -552,7 +551,11 @@ _SUITES = {
         ("check_interior_chain", (5, 40, ()), (5, 100, (1000,))),
         ("check_boundary_chain", (40, (), 10**3), (100, (1000,), 10**4)),
         ("check_harmonic_bracketing", (10**5,), (10**6,)),
-        ("check_partition_power_growth", (True,), (False,)),
+        (
+            "check_partition_power_growth",
+            (((1, 1), (1, 2), (2, 2)), 150),
+            (((1, 1), (1, 2), (2, 2), (2, 3)), 500),
+        ),
         ("check_monotone_sums", (), ()),
         ("check_boundary_factor_monotone", (), ()),
         ("check_threshold_consistency", (), ()),

@@ -89,17 +89,6 @@ def _series_power(b: list[int], mult: int) -> list[int]:
     return f
 
 
-def _sum_numerators(n: int, k: int, repeated: bool = True) -> tuple[int, int, int]:
-    """Integers (N, R, den) with sum_nondecreasing(n, k) = N/den and, when
-    ``repeated``, sum_repeated(n, k) = R/den (R = 0 otherwise); den = (k!)^n.
-
-    Both are x^n coefficients of one inverse series, raised to the powers 1
-    and n+1, so a caller that needs both builds the series once.
-    """
-    _, scale, b = next(_inverse_at(n, (k,)))
-    return b[n], _series_power(b, n + 1)[n] if repeated else 0, scale**n
-
-
 def _part_count_sums(values: Sequence[int], k: int, m: int) -> list[int]:
     """Sum of F(J) over the partitions of each x = 0..m into parts <= k, with
     J the number of parts and F the polynomial with F(j) = values[j].
@@ -134,8 +123,8 @@ def sum_repeated(n: int, k: int) -> Fraction:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    _, repeated, den = _sum_numerators(n, k)
-    return Fraction(repeated, den)
+    _, scale, b = next(_inverse_at(n, (k,)))
+    return Fraction(_series_power(b, n + 1)[n], scale**n)
 
 
 def sum_nondecreasing(n: int, k: int) -> Fraction:
@@ -146,8 +135,8 @@ def sum_nondecreasing(n: int, k: int) -> Fraction:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    nondecreasing, _, den = _sum_numerators(n, k, repeated=False)
-    return Fraction(nondecreasing, den)
+    _, scale, b = next(_inverse_at(n, (k,)))
+    return Fraction(b[n], scale**n)
 
 
 def weighted_partitions(k: int, m: int) -> Iterator[tuple[int, ...]]:

@@ -114,6 +114,10 @@ class TestBoundaryFactor:
     def test_surface_has_no_tail_term(self):
         j = 2.5
         assert boundary_factor(j - GAMMA, 2) == pytest.approx((1 + 1 / (2 * j)) ** 2, rel=1e-15)
+        # the tail carries the factor n - 2, so at n = 2 it adds exactly 0.0
+        for k in (1, 2, 3, 10, 1000, 10**9):
+            j = math.log(k) + GAMMA
+            assert boundary_factor(math.log(k), 2) == (1 + 1 / (2 * j)) ** 2
 
     def test_surface_at_unit_j(self):
         assert boundary_factor(1 - GAMMA, 2) == pytest.approx(2.25, rel=1e-15)

@@ -38,12 +38,12 @@ PINNED = [
          RHS_HARMONIC, ""),
     ),
     (
-        lambda: checks.check_partition_power_growth(True),
+        lambda: checks.check_partition_power_growth(((1, 1), (1, 2), (2, 2)), 150),
         ("partition power growth", True, "pairs ((1, 1), (1, 2), (2, 2))",
          "ratio <= 1 + 10/r on the top decade of r <= 150", ""),
     ),
     (
-        lambda: checks.check_partition_power_growth(False),
+        lambda: checks.check_partition_power_growth(((1, 1), (1, 2), (2, 2), (2, 3)), 500),
         ("partition power growth", True, "pairs ((1, 1), (1, 2), (2, 2), (2, 3))",
          "ratio <= 1 + 10/r on the top decade of r <= 500", ""),
     ),

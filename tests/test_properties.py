@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsegre.bounds import _bracket
+from wsegre.bounds import GeometryInput, find_min_k, volume_lower_bound
 from wsegre.combinatorics import (
     _inverse_at,
     _part_count_sums,
@@ -154,14 +154,15 @@ geometry_value = st.one_of(
 
 @settings(deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=8),
-    k=st.integers(min_value=1, max_value=120),
+    n=st.integers(min_value=2, max_value=6),
+    k_max=st.integers(min_value=1, max_value=60),
     kd_n=geometry_value,
     neg_dn=geometry_value,
 )
-def test_bracket_matches_the_two_sums(n, k, kd_n, neg_dn):
-    expected = kd_n / (n + 1) ** n * sum_repeated(n, k) + neg_dn * sum_nondecreasing(n, k)
-    assert _bracket(n, k, kd_n, neg_dn) == expected * math.factorial(k) ** n
+def test_find_min_k_matches_a_scan_of_the_volume_bound(n, k_max, kd_n, neg_dn):
+    geometry = GeometryInput(n=n, kd_n=kd_n, neg_dn=neg_dn)
+    positive = (k for k in range(1, k_max + 1) if volume_lower_bound(geometry, k) > 0)
+    assert find_min_k(geometry, k_max) == next(positive, None)
 
 
 def test_sums_in_the_thousands_match_a_residue_recurrence():
