@@ -148,7 +148,7 @@ def threshold_logk(n: int, neg_dn: Optional[Fraction] = None) -> float:
     computed.
     """
     if n <= 3:
-        raise ValueError("thresholds start at n = 4")
+        raise ValueError("thresholds start at n = 4 (below that no bound is claimed)")
     if n >= 6:
         if n > _FLOAT_FACTORIAL_MAX:
             value = math.inf  # n! alone is past the float range

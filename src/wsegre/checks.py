@@ -354,9 +354,7 @@ def _boundary_rhs(n: int, k: int) -> float:
 
 def check_boundary_chain(k_dense: int, k_spots: Sequence[int], sweep_to: int) -> VerificationReport:
     degrees = range(3, 9)
-    for k, scale, b in _inverse_at(degrees[-1], chain(range(1, k_dense + 1), k_spots)):
-        if k == 1:
-            continue
+    for k, scale, b in _inverse_at(degrees[-1], chain(range(2, k_dense + 1), k_spots)):
         # sum_nondecreasing(n, k) = B_n/(k!)^n for every n, from one sweep
         for n in degrees:
             value, bound = b[n] / scale**n, _boundary_rhs(n, k)
@@ -366,23 +364,18 @@ def check_boundary_chain(k_dense: int, k_spots: Sequence[int], sweep_to: int) ->
                 )
     # dense float sweep: c holds the coefficients of prod_{j<=k} (1 - x/j)^(-1)
     # up to x^8; multiplying by 1/(1 - x/k) in place is c_d += c_(d-1)/k for d
-    # increasing.  The report names the smallest failing n at its first k.
-    first_failure = {}
+    # increasing.  Like the exact part, it names the smallest failing n at its
+    # first failing k.
     c = [1.0] * (degrees[-1] + 1)  # 1/(1 - x), the product at k = 1
     for k in range(2, sweep_to + 1):
         for d in range(1, len(c)):
             c[d] += c[d - 1] / k
         for n in degrees:
-            if n not in first_failure:
-                bound = _boundary_rhs(n, k)
-                if c[n] > bound * (1 + 1e-9):
-                    first_failure[n] = (c[n], bound, k)
-    if first_failure:
-        n = min(first_failure)
-        value, bound, k = first_failure[n]
-        return _report(
-            "boundary sum upper bound", False, value, bound, f"float sweep, n={n}, k={k}"
-        )
+            bound = _boundary_rhs(n, k)
+            if c[n] > bound * (1 + 1e-9):
+                return _report(
+                    "boundary sum upper bound", False, c[n], bound, f"float sweep, n={n}, k={k}"
+                )
     return _report(
         "boundary sum upper bound", True,
         f"exact on k <= {k_dense} plus {list(k_spots)}; float sweep to k = {sweep_to}",
@@ -403,23 +396,12 @@ def check_harmonic_bracketing(k_max: int) -> VerificationReport:
         comp = (t - total) - y
         total = t
         gap = t - log(k)
+        if not floor < gap <= ceiling:
+            return _report("harmonic bracketing", False, gap, (GAMMA, GAMMA + 0.5), f"k={k}")
         if gap < lo:
             lo = gap
         if gap > hi:
             hi = gap
-    if not floor < lo <= hi <= ceiling:
-        # rescan with the same floats for the first k outside, to report it
-        total = comp = 0.0
-        for k in range(1, k_max + 1):
-            y = 1.0 / k - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            gap = t - log(k)
-            if not floor < gap <= ceiling:
-                return _report(
-                    "harmonic bracketing", False, gap, (GAMMA, GAMMA + 0.5), f"k={k}"
-                )
     return _report(
         "harmonic bracketing", True,
         f"H_k - log k in [{lo:.12f}, {hi:.12f}] for k <= {k_max}",

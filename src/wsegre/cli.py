@@ -65,11 +65,13 @@ class _Record:
 
 
 def _approx(value: Fraction) -> Optional[float]:
-    """float(value), or None where value lies beyond the float range."""
+    """float(value), or None where a nonzero value is too large or too small
+    to be a nonzero float."""
     try:
-        return float(value)
+        approx = float(value)
     except OverflowError:
         return None
+    return approx if approx or not value else None
 
 
 def _rational_text(value: Fraction) -> str:
@@ -249,8 +251,6 @@ def _cmd_bound(args) -> _Record:
 
 
 def _cmd_threshold(args) -> _Record:
-    if args.n <= 3:
-        raise UsageError("thresholds start at n = 4 (below that no bound is claimed)")
     if args.n in (4, 5) and args.neg_dn is None:
         raise UsageError(f"n = {args.n} needs --neg-dn (the signed value (-D)^n)")
     value = bounds.threshold_logk(args.n, args.neg_dn)
@@ -421,8 +421,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-max", dest="k_max", type=int, default=50)
 
     p = add("verify", _cmd_verify, "run the self-check suites")
-    p.add_argument("--suite", choices=("identities", "oracles", "inequalities", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*checks.SUITE_NAMES, "all"), default="all")
     p.add_argument("--fast", action="store_true")
 
     return parser
@@ -436,7 +435,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _emit(args, args.func(args))
-    except (UsageError, ValueError, OverflowError) as exc:
+    except (UsageError, ValueError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,8 +80,6 @@ def _series_power(b: list[int], mult: int) -> list[int]:
     d F_d = sum_{i=1..d} ((mult+1) i - d) B_i F_(d-i), and F_d is an integer,
     so the division is exact.
     """
-    if mult == 1:
-        return b
     f = [1]
     for d in range(1, len(b)):
         total = sum(((mult + 1) * i - d) * b[i] * f[d - i] for i in range(1, d + 1))

@@ -1,10 +1,13 @@
-"""Independent brute-force verifiers for the combinatorial identities.
+"""Brute-force oracles for the combinatorial identities, and two checks on
+fast paths.
 
-Every function here recomputes a quantity from first principles (explicit
-enumeration or dynamic programming) so the generating-function and Chow-ring
-code paths can be checked against something that shares none of their
-machinery.  Enumerations carry explicit guards instead of silently running
-for hours.
+The oracles recompute a quantity from first principles (explicit enumeration
+or dynamic programming) and share no machinery with the generating-function
+and Chow-ring code they check.  The two checks do:
+``check_partition_power_growth`` runs on ``_part_count_sums``, the engine of
+``boundary_jet_sections``, and ``cross_check_volume_identity`` compares two
+fast paths, the Chow-ring top Segre number and ``sum_repeated``.
+Enumerations carry explicit guards instead of silently running for hours.
 """
 
 from __future__ import annotations
@@ -187,26 +190,22 @@ def check_partition_power_growth(n: int, k: int, r_max: int) -> VerificationRepo
 
 
 def cross_check_volume_identity(n_max: int, k_max: int) -> VerificationReport:
-    """Exact identity between the two independent code paths:
+    """Exact identity between the Chow-ring and generating-function paths:
     weighted_tangent_top_segre(n, k) * (k!)^n == sum_repeated(n, k)
     for all 1 <= n <= n_max, 1 <= k <= k_max."""
     if not (1 <= n_max <= 5 and 1 <= k_max <= 6):
         raise ValueError("guarded range is n_max <= 5, k_max <= 6")
-    first_bad = None
     for n in range(1, n_max + 1):
         for k in range(1, k_max + 1):
             lhs = weighted_tangent_top_segre(n, k) * Fraction(math.factorial(k)) ** n
             rhs = sum_repeated(n, k)
-            if lhs != rhs and first_bad is None:
-                first_bad = (n, k, lhs, rhs)
-    if first_bad:
-        n, k, lhs, rhs = first_bad
-        return VerificationReport(
-            name="volume identity (Chow ring vs generating function)",
-            passed=False,
-            lhs=f"(k!)^n * top Segre number = {lhs} at (n={n}, k={k})",
-            rhs=f"multiset sum = {rhs}",
-        )
+            if lhs != rhs:
+                return VerificationReport(
+                    name="volume identity (Chow ring vs generating function)",
+                    passed=False,
+                    lhs=f"(k!)^n * top Segre number = {lhs} at (n={n}, k={k})",
+                    rhs=f"multiset sum = {rhs}",
+                )
     return VerificationReport(
         name="volume identity (Chow ring vs generating function)",
         passed=True,

@@ -88,12 +88,12 @@ def test_pinned_partition_power_growth_report(n, k, r_max):
     )
 
 
-def test_boundary_sweep_failure_names_smallest_n_then_first_k(monkeypatch):
+def test_boundary_sweep_failure_names_first_k_then_smallest_n(monkeypatch):
     true_rhs = checks._boundary_rhs
 
     def rhs(n, k):
         # the exact part (k <= 40) passes; in the sweep n = 6 fails from
-        # k = 300 and n = 5 from k = 500, so n = 5 is the one reported
+        # k = 300 and n = 5 from k = 500, so n = 6 at k = 300 is reported
         if k <= 40:
             return float("inf")
         if (n == 6 and k >= 300) or (n == 5 and k >= 500):
@@ -103,7 +103,7 @@ def test_boundary_sweep_failure_names_smallest_n_then_first_k(monkeypatch):
     monkeypatch.setattr(checks, "_boundary_rhs", rhs)
     report = checks.check_boundary_chain(40, (), 10**3)
     assert not report.passed
-    assert report.detail == "float sweep, n=5, k=500"
+    assert report.detail == "float sweep, n=6, k=300"
     assert report.rhs == "0.0"
 
 

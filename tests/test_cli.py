@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import pytest
 
 import wsegre.chow as chow
 from wsegre.bounds import GeometryInput, logarithmic_volume, volume_lower_bound
-from wsegre.cli import main
+from wsegre.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -446,22 +447,24 @@ def test_segre_class_past_the_int_str_digit_limit(capsys, fmt):
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_exact_result_beyond_float_range_has_no_approx(capsys, fmt):
-    code, out, _ = run(capsys, "volume", "--n", "2", "--k", "1", "--kd-n", "1e400",
-                       "--format", fmt)
-    assert code == 0
-    if fmt == "json":
-        payload = json.loads(out)
-        assert payload["inputs"]["kd_n"]["approx"] is None
-        result = payload["result"]
-        assert result["approx"] is None
-        num, den = result["num"], result["den"]
-    elif fmt == "csv":
-        num, den, approx = out.splitlines()[1].split(",")[3:]
-        assert approx == ""
-    else:
-        assert "~" not in out
-        num, den = out.strip().split("/")
-    assert Fraction(int(num), int(den)) == logarithmic_volume(2, 1, Fraction(10**400))
+    # a nonzero value too large or too small for a nonzero float has no approx
+    for kd_n in ("1e400", "1e-400"):
+        code, out, _ = run(capsys, "volume", "--n", "2", "--k", "1", "--kd-n", kd_n,
+                           "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["inputs"]["kd_n"]["approx"] is None
+            result = payload["result"]
+            assert result["approx"] is None
+            num, den = result["num"], result["den"]
+        elif fmt == "csv":
+            num, den, approx = out.splitlines()[1].split(",")[3:]
+            assert approx == ""
+        else:
+            assert "~" not in out
+            num, den = out.strip().split("/")
+        assert Fraction(int(num), int(den)) == logarithmic_volume(2, 1, Fraction(kd_n))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -469,3 +472,27 @@ def test_float_only_command_reports_overflow(capsys, fmt):
     code, out, err = run(capsys, "threshold", "--n", "4", "--neg-dn=-1e400", "--format", fmt)
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_recursion_past_the_limit_reports_instead_of_a_traceback(capsys, fmt):
+    # weighted_partitions recurses once per part size up to min(k, m)
+    code, out, err = run(capsys, "ranks", "--n", "1", "--k", "1200", "--m", "1200",
+                         "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_golden_file_pins_exactly_the_contract_cases():
+    # a stale golden entry, or a case without pinned bytes, fails here
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert set(golden) == {f"{case} {fmt}" for case in CONTRACT for fmt in ("text", "json", "csv")}
+
+
+def test_every_subcommand_has_a_contract_case():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) <= {argv[0] for argv, _ in CONTRACT.values()}

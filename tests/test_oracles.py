@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wsegre import oracles
 from wsegre.combinatorics import sum_nondecreasing, sum_repeated
 from wsegre.oracles import (
     check_orbifold_h0,
@@ -131,3 +132,17 @@ class TestCrossCheck:
     def test_guard(self):
         with pytest.raises(ValueError):
             cross_check_volume_identity(6, 6)
+
+    def test_failure_names_the_first_mismatch_in_loop_order(self, monkeypatch):
+        # n runs outer and k inner, so (2, 5) comes before (3, 2)
+        def wrong(n, k):
+            return sum_repeated(n, k) + ((n, k) in ((3, 2), (2, 5)))
+
+        monkeypatch.setattr(oracles, "sum_repeated", wrong)
+        report = cross_check_volume_identity(4, 5)
+        assert not report.passed
+        assert report.lhs == (
+            f"(k!)^n * top Segre number = {sum_repeated(2, 5)} at (n=2, k=5)"
+        )
+        assert report.rhs == f"multiset sum = {sum_repeated(2, 5) + 1}"
+        assert report.detail == ""
