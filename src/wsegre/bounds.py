@@ -157,7 +157,7 @@ def threshold_logk(n: int, neg_dn: Optional[Fraction] = None) -> float:
             value = -GAMMA + numerator / ((n + 1) / (2 * PI) - 1)
     else:
         if neg_dn is None:
-            raise ValueError(f"n = {n} needs the signed value (-D)^n")
+            raise ValueError(f"n = {n} needs neg_dn (--neg-dn), the signed value (-D)^n")
         coeff = (n - 2) * math.factorial(n) + 1
         try:
             value = -GAMMA - float(neg_dn) * coeff

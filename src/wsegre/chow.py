@@ -75,14 +75,6 @@ class TotalClass:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def _of(cls, dim: int, coeffs: Iterable[Fraction]) -> "TotalClass":
-        """Wrap exactly dim + 1 Fractions as they are, with no conversion."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "coeffs", tuple(coeffs))
-        return out
-
-    @classmethod
     def unit(cls, dim: int) -> "TotalClass":
         return cls(dim, (1,))
 
@@ -96,7 +88,7 @@ class TotalClass:
             b, b_den = _integer_form(other.coeffs)
             den = a_den * b_den
             product = _convolve(a, b, self.dim)
-            return TotalClass._of(self.dim, (Fraction(c, den) for c in product))
+            return TotalClass(self.dim, (Fraction(c, den) for c in product))
         if isinstance(other, (int, Fraction)):
             return TotalClass(self.dim, (other * c for c in self.coeffs))
         return NotImplemented
@@ -114,9 +106,7 @@ class TotalClass:
             raise ValueError("cannot invert a class with zero constant term")
         c, den = _integer_form(self.coeffs)
         c0, q = _invert(c)
-        return TotalClass._of(
-            self.dim, (Fraction(den * q_d, c0 ** (d + 1)) for d, q_d in enumerate(q))
-        )
+        return TotalClass(self.dim, (Fraction(den * q_d, c0 ** (d + 1)) for d, q_d in enumerate(q)))
 
     def __pow__(self, e: int) -> "TotalClass":
         if not isinstance(e, int):
@@ -229,7 +219,7 @@ def segre_of_weighted_sum(summands: Sequence[WeightedSummand]) -> TotalClass:
         product = _convolve(product, [c * a ** (n - j) for j, c in enumerate(nums)], n)
         den *= s_den * a ** (s.rank - 1 + n)
     gcd = math.gcd(*weights)
-    return TotalClass._of(n, (Fraction(gcd * c, den) for c in product))
+    return TotalClass(n, (Fraction(gcd * c, den) for c in product))
 
 
 def weighted_tangent_top_segre(n: int, k: int) -> Fraction:

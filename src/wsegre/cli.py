@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional
@@ -24,10 +24,6 @@ from . import bounds, checks, jets
 from .chow import TotalClass, WeightedSummand, _digits, _fraction_text, segre_of_weighted_sum
 
 SCHEMA = "wsegre/1"
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,6 +128,9 @@ def _scalar(command: str, inputs: dict, value: Fraction, warnings=()) -> _Record
 # ------------------------------------------------------------ geometry input
 
 
+_INPUT_TYPES = {"n": int, "kd_n": Fraction, "neg_dn": Fraction, "components": int}
+
+
 def _read_geometry_file(path: str) -> dict:
     values = {}
     try:
@@ -141,15 +140,17 @@ def _read_geometry_file(path: str) -> dict:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
+                key = key.strip()
+                if key not in _INPUT_TYPES:
+                    raise ValueError(
+                        f"{path}:{lineno}: unknown key {key!r} (expected {', '.join(_INPUT_TYPES)})"
+                    )
+                values[key] = val.strip()
     except OSError as exc:
-        raise UsageError(f"cannot read geometry file: {exc}")
+        raise ValueError(f"cannot read geometry file: {exc}")
     return values
-
-
-_INPUT_TYPES = {"n": int, "kd_n": Fraction, "neg_dn": Fraction, "components": int}
 
 
 def _resolve_inputs(args, *keys) -> list:
@@ -163,11 +164,11 @@ def _resolve_inputs(args, *keys) -> list:
         val = getattr(args, key, None)
         if val is None:
             if key not in raw:
-                raise UsageError(f"missing required input {key!r} (flag or geometry file)")
+                raise ValueError(f"missing required input {key!r} (flag or geometry file)")
             try:
                 val = _INPUT_TYPES[key](raw[key])
             except (ValueError, ZeroDivisionError):
-                raise UsageError(f"bad value for {key!r} in geometry file")
+                raise ValueError(f"bad value for {key!r} in geometry file")
         values.append(val)
     return values
 
@@ -193,27 +194,29 @@ def _parse_summand(spec: str, dim: int) -> WeightedSummand:
                 fields[key] = val
                 tail = None
             else:
-                raise UsageError(f"unknown summand field {key!r}")
+                raise ValueError(f"unknown summand field {key!r}")
         else:
             if tail is None:
-                raise UsageError(f"stray token {token!r} in summand {spec!r}")
+                raise ValueError(f"stray token {token!r} in summand {spec!r}")
             tail.append(token)
     if ("segre" in fields) == ("chern" in fields):
-        raise UsageError("each summand needs exactly one of segre=... or chern=...")
+        raise ValueError("each summand needs exactly one of segre=... or chern=...")
     try:
         rank = int(fields.get("rank", 1))
         weight = int(fields.get("weight", 1))
         key = "segre" if "segre" in fields else "chern"
         coeffs = [Fraction(c) for c in fields[key]]
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed summand {spec!r}")
+        raise ValueError(f"malformed summand {spec!r}")
     cls = TotalClass(dim, coeffs)
     try:
+        if len(coeffs) > dim + 1:
+            raise ValueError(f"--dim {dim} takes at most {dim + 1} coefficients")
         if key == "chern":
             return WeightedSummand.from_chern(cls, rank, weight)
         return WeightedSummand(cls, rank, weight)
     except ValueError as exc:
-        raise UsageError(f"summand {spec!r}: {exc}")
+        raise ValueError(f"summand {spec!r}: {exc}")
 
 
 def _cmd_segre(args) -> _Record:
@@ -251,8 +254,6 @@ def _cmd_bound(args) -> _Record:
 
 
 def _cmd_threshold(args) -> _Record:
-    if args.n in (4, 5) and args.neg_dn is None:
-        raise UsageError(f"n = {args.n} needs --neg-dn (the signed value (-D)^n)")
     value = bounds.threshold_logk(args.n, args.neg_dn)
     rounded = round(value)
     try:
@@ -275,18 +276,7 @@ def _cmd_threshold(args) -> _Record:
 def _cmd_table1(args) -> _Record:
     rows = bounds.threshold_table()
     notes = dict.fromkeys(note for row in rows for note in row.footnotes)
-    result = {
-        "rows": [
-            {
-                "n": row.n,
-                "coefficient": row.coefficient,
-                "logk": row.logk,
-                "text": row.text,
-                "footnotes": list(row.footnotes),
-            }
-            for row in rows
-        ],
-    }
+    result = {"rows": [asdict(row) for row in rows]}
     lines = chain(
         ["n    threshold on log k"],
         (f"{row.n:<4} {row.text}" for row in rows),
@@ -302,8 +292,6 @@ def _cmd_ranks(args) -> _Record:
 
 
 def _cmd_boundary(args) -> _Record:
-    if args.neg_dn >= 0:
-        raise UsageError("boundary data needs a negative signed value (-D)^n")
     boundary = jets.BoundaryData(
         n=args.n,
         neg_dn_abs=-args.neg_dn,
@@ -435,7 +423,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _emit(args, args.func(args))
-    except (UsageError, ValueError, OverflowError, RecursionError) as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,7 +36,9 @@ class BoundaryData:
         if self.n < 2:
             raise ValueError("boundary data needs n >= 2")
         if self.neg_dn_abs <= 0:
-            raise ValueError("-(-D)^n must be positive")
+            raise ValueError(
+                "-(-D)^n must be positive: boundary data needs a negative signed value (-D)^n"
+            )
         if self.components < 1:
             raise ValueError("components must be >= 1")
 

@@ -4,10 +4,11 @@ exactly."""
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from wsegre import bounds, checks, chow, oracles
+from wsegre import bounds, checks, chow, jets, oracles
 from wsegre.cli import main
 from wsegre.combinatorics import harmonic, sum_nondecreasing, sum_repeated
 
@@ -279,3 +280,56 @@ def test_every_check_runs_in_one_suite_and_fast_leaves_out_one(monkeypatch):
     assert set(suites) == set(checks.SUITE_NAMES)
     fast = _suite_calls(monkeypatch, fast=True)
     assert fast == [call for call in full if call[0] != "check_boundary_leading_coefficient"]
+
+
+def _fast_args(check):
+    return next(fast for name, fast, _ in chain(*checks._SUITES.values()) if name == check)
+
+
+# check -> (module or class, function patched onto it, the stand-in, the
+# failed report's name and detail)
+BROKEN = {
+    "check_ring_axioms": (chow.TotalClass, "inverse", lambda self: self,
+                          "class ring axioms", "two-sided inverse"),
+    "check_weighted_single_coefficients": (
+        chow, "segre_of_weighted_summand", lambda summand: summand.segre,
+        "weighted summand coefficients", "degree 1, weight 3, rank 1"),
+    "check_volume_decomposition": (
+        jets, "boundary_coeff", lambda n, k: Fraction(0), "volume bound decomposition",
+        "GeometryInput(n=5, kd_n=Fraction(19, 7), neg_dn=Fraction(-23, 2), components=2), k=4"),
+    "check_harmonic_recurrence": (checks, "harmonic", lambda k: Fraction(k),
+                                  "harmonic recurrence", "k=140"),
+    "check_boundary_small_cases": (jets, "boundary_jet_sections", lambda k, m, b: Fraction(1),
+                                   "boundary sections, small cases", "order 1, degree 0"),
+    "check_sum_oracles": (oracles, "sum_repeated_bruteforce", lambda n, k: Fraction(0),
+                          "reciprocal sums vs enumeration", "repeated alphabet, n=1, k=1"),
+    "check_jet_rank_partitions": (jets, "jet_rank", lambda n, k, m: 0,
+                                  "curve jet ranks vs partition counts", "k=1, m=0"),
+    "check_orbifold_growth": (oracles, "count_weighted_monomials", lambda weights, m: 0,
+                              "orbifold monomial growth (1, 1)",
+                              "500 multiples of lcm = 1, tolerance 2%"),
+    "check_partition_power_examples": (oracles, "partition_power_sum",
+                                       lambda n, k, r: Fraction(-1),
+                                       "partition power sums", "spot value"),
+    "check_partition_power_growth": (oracles, "_part_count_sums",
+                                     lambda values, k, m: [10**9] * (m + 1),
+                                     "partition power growth (n=1, k=1)",
+                                     "ratio <= 1 + 10.0/r holds from r = None"),
+    "check_boundary_factor_monotone": (bounds, "boundary_factor", lambda x, n: x,
+                                       "boundary factor decreasing", "n=2"),
+    "check_threshold_consistency": (bounds, "threshold_logk", lambda n, neg_dn=None: 1.0,
+                                    "threshold consistency", "root condition, n=6"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN))
+def test_check_fails_on_a_broken_function(monkeypatch, check):
+    owner, attr, stand_in, name, detail = BROKEN[check]
+    monkeypatch.setattr(owner, attr, stand_in)
+    report = getattr(checks, check)(*_fast_args(check))
+    assert (report.passed, report.name, report.detail) == (False, name, detail)
+
+
+def test_unknown_suite_is_rejected():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        checks.run_suite("nope")

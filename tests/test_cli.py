@@ -496,3 +496,52 @@ def test_every_subcommand_has_a_contract_case():
         if isinstance(action, argparse._SubParsersAction)
     )
     assert set(subparsers.choices) <= {argv[0] for argv, _ in CONTRACT.values()}
+
+
+@pytest.mark.parametrize("key", ["segre=1,-2,99", "chern=1,3,3"])
+def test_summand_past_dim_is_rejected(capsys, key):
+    spec = f"rank=1,weight=1,{key}"
+    code, out, err = run(capsys, "segre", "--dim", "1", "--summand", spec)
+    assert (code, out) == (1, "")
+    assert err == f"error: summand {spec!r}: --dim 1 takes at most 2 coefficients\n"
+
+
+def test_geometry_file_rejects_an_unknown_key(capsys, tmp_path):
+    geom = tmp_path / "geom.txt"
+    geom.write_text("n = 2\nkd_n = 9\nneg_dn = -1\ncomponent = 2\n")
+    code, out, err = run(capsys, "bound", "--k", "1", "--geometry", str(geom))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {geom}:4: unknown key 'component'")
+
+
+def test_volume_reads_a_geometry_file_with_every_key(capsys, tmp_path):
+    geom = tmp_path / "geom.txt"
+    geom.write_text("n = 2\nkd_n = 9\nneg_dn = -1\ncomponents = 2\n")
+    assert run(capsys, "volume", "--k", "1", "--geometry", str(geom)) == (0, "6\n", "")
+
+
+# one invalid input per subcommand; most reach a library rule's ValueError
+INVALID = {
+    "segre": ["--dim", "1", "--summand", "segre=1,-2,99"],
+    "volume": ["--n", "0", "--k", "1", "--kd-n", "1"],
+    "bound": ["--n", "2", "--k", "0", "--kd-n", "9", "--neg-dn", "-1"],
+    "threshold": ["--n", "5"],
+    "table1": ["--format", "xml"],
+    "ranks": ["--n", "0", "--k", "1", "--m", "1"],
+    "boundary": ["--n", "2", "--k", "1", "--m", "2", "--neg-dn", "1"],
+    "minorder": ["--n", "2", "--kd-n", "9", "--neg-dn", "-1", "--k-max", "0"],
+    "verify": ["--suite", "nope"],
+}
+
+
+def test_invalid_input_to_every_subcommand_reports_without_a_traceback(capsys):
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(INVALID) == set(subparsers.choices)
+    for command, argv in INVALID.items():
+        code, out, err = run(capsys, command, *argv)
+        assert (command, code, out) == (command, 1, "")
+        assert err.startswith(("error:", "usage:")), (command, err)
+        assert "Traceback" not in err
