@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
@@ -54,9 +53,8 @@ def _show_int(value: int) -> str:
     try:
         return str(value)
     except ValueError:
-        sign, digits, _ = Decimal(value).as_tuple()
-        lead = "".join(map(str, digits[:_LEADING_DIGITS]))
-        return f"{'-' if sign else ''}{lead}... ({len(digits)} digits)"
+        digits = chow._digits(abs(value))
+        return f"{'-' if value < 0 else ''}{digits[:_LEADING_DIGITS]}... ({len(digits)} digits)"
 
 
 def _report(name: str, passed: bool, lhs, rhs, detail: str = "") -> VerificationReport:

@@ -15,13 +15,14 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional
 
 from . import bounds, checks, jets
 from .chow import TotalClass, WeightedSummand, _digits, _fraction_text, segre_of_weighted_sum
+from .oracles import VerificationReport
 
 SCHEMA = "wsegre/1"
 
@@ -128,10 +129,16 @@ def _scalar(command: str, inputs: dict, value: Fraction, warnings=()) -> _Record
 # ------------------------------------------------------------ geometry input
 
 
-_INPUT_TYPES = {"n": int, "kd_n": Fraction, "neg_dn": Fraction, "components": int}
+# Each input a subcommand takes as a flag ``--key`` (``_`` spelt ``-``) or,
+# for the fields of ``GeometryInput``, as a geometry-file line ``key = value``,
+# with the type that converts its text; flags are registered in this order.
+_INPUTS = {"n": int, "k": int, "m": int, "kd_n": _fraction, "neg_dn": _fraction, "components": int}
+_GEOMETRY_KEYS = tuple(field.name for field in fields(bounds.GeometryInput))
 
 
 def _read_geometry_file(path: str) -> dict:
+    """The converted value of each key the file sets; an error names
+    ``path:line``."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -139,15 +146,21 @@ def _read_geometry_file(path: str) -> dict:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, val = line.partition("=")
+                key, eq, val = line.partition("=")
                 key = key.strip()
-                if key not in _INPUT_TYPES:
+                where = f"{path}:{lineno}:"
+                if not eq:
+                    raise ValueError(f"{where} expected 'key = value'")
+                if key not in _GEOMETRY_KEYS:
                     raise ValueError(
-                        f"{path}:{lineno}: unknown key {key!r} (expected {', '.join(_INPUT_TYPES)})"
+                        f"{where} unknown key {key!r} (expected {', '.join(_GEOMETRY_KEYS)})"
                     )
-                values[key] = val.strip()
+                if key in values:
+                    raise ValueError(f"{where} repeated key {key!r}")
+                try:
+                    values[key] = _INPUTS[key](val.strip())
+                except (ValueError, argparse.ArgumentTypeError):
+                    raise ValueError(f"{where} bad value for {key!r} in geometry file")
     except OSError as exc:
         raise ValueError(f"cannot read geometry file: {exc}")
     return values
@@ -156,25 +169,22 @@ def _read_geometry_file(path: str) -> dict:
 def _resolve_inputs(args, *keys) -> list:
     """The value of each key from its flag, else from the geometry file;
     ``components`` defaults to 1."""
-    raw = {"components": "1"}
-    if args.geometry:
-        raw.update(_read_geometry_file(args.geometry))
+    given = {"components": 1}
+    if getattr(args, "geometry", None):
+        given.update(_read_geometry_file(args.geometry))
     values = []
     for key in keys:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is None:
-            if key not in raw:
+            if key not in given:
                 raise ValueError(f"missing required input {key!r} (flag or geometry file)")
-            try:
-                val = _INPUT_TYPES[key](raw[key])
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"bad value for {key!r} in geometry file")
+            val = given[key]
         values.append(val)
     return values
 
 
 def _resolve_geometry(args) -> bounds.GeometryInput:
-    return bounds.GeometryInput(*_resolve_inputs(args, "n", "kd_n", "neg_dn", "components"))
+    return bounds.GeometryInput(*_resolve_inputs(args, *_GEOMETRY_KEYS))
 
 
 # ---------------------------------------------------------------- subcommands
@@ -292,19 +302,10 @@ def _cmd_ranks(args) -> _Record:
 
 
 def _cmd_boundary(args) -> _Record:
-    boundary = jets.BoundaryData(
-        n=args.n,
-        neg_dn_abs=-args.neg_dn,
-        components=args.components if args.components is not None else 1,
-    )
+    n, neg_dn, components = _resolve_inputs(args, "n", "neg_dn", "components")
+    boundary = jets.BoundaryData(n, -neg_dn, components)
     value = jets.boundary_jet_sections(args.k, args.m, boundary)
-    inputs = {
-        "n": args.n,
-        "k": args.k,
-        "m": args.m,
-        "neg_dn": args.neg_dn,
-        "components": boundary.components,
-    }
+    inputs = {"n": n, "k": args.k, "m": args.m, "neg_dn": neg_dn, "components": components}
     return _scalar("boundary", inputs, value)
 
 
@@ -326,13 +327,7 @@ def _cmd_minorder(args) -> _Record:
 def _cmd_verify(args) -> _Record:
     reports = checks.run_suite(args.suite, fast=args.fast)
     failed = [r.name for r in reports if not r.passed]
-    result = {
-        "passed": not failed,
-        "checks": [
-            {"name": r.name, "passed": r.passed, "lhs": r.lhs, "rhs": r.rhs, "detail": r.detail}
-            for r in reports
-        ],
-    }
+    result = {"passed": not failed, "checks": [asdict(r) for r in reports]}
 
     def lines():
         for r in reports:
@@ -343,10 +338,9 @@ def _cmd_verify(args) -> _Record:
         if failed:
             yield "first failures: " + "; ".join(failed[:3])
 
-    cells = ((r.name, r.passed, r.lhs, r.rhs, r.detail) for r in reports)
+    header = tuple(field.name for field in fields(VerificationReport))
     return _Record("verify", {"suite": args.suite, "fast": args.fast}, result,
-                   ("name", "passed", "lhs", "rhs", "detail"), cells, lines(),
-                   code=2 if failed else 0)
+                   header, map(astuple, reports), lines(), code=2 if failed else 0)
 
 
 # --------------------------------------------------------------------- wiring
@@ -356,9 +350,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="wsegre", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, required=(), optional=(), geometry=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        for key, kind in _INPUTS.items():
+            if key in required or key in optional:
+                p.add_argument("--" + key.replace("_", "-"), type=kind, required=key in required)
+        if geometry:
+            p.add_argument("--geometry")
         p.set_defaults(func=func)
         return p
 
@@ -367,51 +366,21 @@ def build_parser() -> _Parser:
     p.add_argument("--summand", action="append", required=True,
                    metavar="rank=R,weight=A,segre=1,s1,...",
                    help="repeatable; accepts segre=... or chern=...")
-
-    p = add("volume", _cmd_volume, "exact volume of the logarithmic jet algebra")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kd-n", dest="kd_n", type=_fraction)
-    p.add_argument("--geometry")
-
-    p = add("bound", _cmd_bound, "exact volume lower bound with boundary term")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--kd-n", dest="kd_n", type=_fraction)
-    p.add_argument("--neg-dn", dest="neg_dn", type=_fraction)
-    p.add_argument("--components", type=int)
-    p.add_argument("--geometry")
-
-    p = add("threshold", _cmd_threshold, "log k threshold for bigness")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--neg-dn", dest="neg_dn", type=_fraction)
-
+    add("volume", _cmd_volume, "exact volume of the logarithmic jet algebra",
+        ("k",), ("n", "kd_n"), geometry=True)
+    add("bound", _cmd_bound, "exact volume lower bound with boundary term",
+        ("k",), _GEOMETRY_KEYS, geometry=True)
+    add("threshold", _cmd_threshold, "log k threshold for bigness", ("n",), ("neg_dn",))
     add("table1", _cmd_table1, "threshold summary table for n = 4..8")
-
-    p = add("ranks", _cmd_ranks, "rank of a graded jet piece")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("boundary", _cmd_boundary, "exact boundary section count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--neg-dn", dest="neg_dn", type=_fraction, required=True)
-    p.add_argument("--components", type=int)
-
-    p = add("minorder", _cmd_minorder, "smallest order with a positive bound")
-    p.add_argument("--n", type=int)
-    p.add_argument("--kd-n", dest="kd_n", type=_fraction)
-    p.add_argument("--neg-dn", dest="neg_dn", type=_fraction)
-    p.add_argument("--components", type=int)
-    p.add_argument("--geometry")
-    p.add_argument("--k-max", dest="k_max", type=int, default=50)
-
+    add("ranks", _cmd_ranks, "rank of a graded jet piece", ("n", "k", "m"))
+    add("boundary", _cmd_boundary, "exact boundary section count",
+        ("n", "k", "m", "neg_dn"), ("components",))
+    p = add("minorder", _cmd_minorder, "smallest order with a positive bound",
+            (), _GEOMETRY_KEYS, geometry=True)
+    p.add_argument("--k-max", type=int, default=50)
     p = add("verify", _cmd_verify, "run the self-check suites")
     p.add_argument("--suite", choices=(*checks.SUITE_NAMES, "all"), default="all")
     p.add_argument("--fast", action="store_true")
-
     return parser
 
 

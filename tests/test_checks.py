@@ -330,6 +330,47 @@ def test_check_fails_on_a_broken_function(monkeypatch, check):
     assert (report.passed, report.name, report.detail) == (False, name, detail)
 
 
+def _mean(self, other):
+    return chow.TotalClass(self.dim, [(a + b) / 2 for a, b in zip(self.coeffs, other.coeffs)])
+
+
+def _partition_power_spots(n, k, r):
+    spots = {(1, 2, 2): Fraction(3), (2, 1, 6): Fraction(18), (3, 2, 0): Fraction(0)}
+    return spots.get((n, k, r), Fraction(-r))
+
+
+# the failure branches BROKEN leaves unreached, in the same layout under
+# "check, branch"; check_rank_telescoping and the half-threshold branch of
+# check_threshold_consistency read only math, so no patch can fail them
+BROKEN_BRANCHES = {
+    "check_ring_axioms, commutativity": (chow.TotalClass, "__mul__", lambda self, other: self,
+                                         "class ring axioms", "commutativity"),
+    "check_ring_axioms, associativity": (chow.TotalClass, "__mul__", _mean,
+                                         "class ring axioms", "associativity"),
+    "check_monomial_quasipolynomial": (oracles, "count_weighted_monomials",
+                                       lambda weights, m: m ** len(weights),
+                                       "monomial counts are quasi-polynomial",
+                                       "weights (1, 2), offset 0"),
+    "check_partition_power_examples, monotone": (oracles, "partition_power_sum",
+                                                 _partition_power_spots,
+                                                 "partition power sums", "not monotone at r=3"),
+    "check_boundary_factor_monotone, limit": (bounds, "boundary_factor", lambda x, n: 1 / x,
+                                              "boundary factor decreasing", "limit, n=2"),
+    "check_threshold_consistency, factor": (bounds, "boundary_factor", lambda x, n: math.inf,
+                                            "threshold consistency",
+                                            "factor at threshold, n=6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_BRANCHES))
+def test_check_fails_on_a_broken_branch(monkeypatch, case):
+    check = case.split(",")[0]
+    owner, attr, stand_in, name, detail = BROKEN_BRANCHES[case]
+    monkeypatch.setattr(owner, attr, stand_in)
+    report = getattr(checks, check)(*_fast_args(check))
+    assert (report.passed, report.name, report.detail) == (False, name, detail)
+
+
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
         checks.run_suite("nope")

@@ -10,7 +10,7 @@ import pytest
 
 import wsegre.chow as chow
 from wsegre.bounds import GeometryInput, logarithmic_volume, volume_lower_bound
-from wsegre.cli import build_parser, main
+from wsegre.cli import _fraction, build_parser, main
 
 
 def run(capsys, *argv):
@@ -496,6 +496,53 @@ def test_every_subcommand_has_a_contract_case():
         if isinstance(action, argparse._SubParsersAction)
     )
     assert set(subparsers.choices) <= {argv[0] for argv, _ in CONTRACT.values()}
+
+
+FORMAT = ("--format", "format", None, False, "text")
+# every subcommand's flags in order: option string, dest, type, required, default
+FLAGS = {
+    "segre": [FORMAT, ("--dim", "dim", int, True, None),
+              ("--summand", "summand", None, True, None)],
+    "volume": [FORMAT, ("--n", "n", int, False, None), ("--k", "k", int, True, None),
+               ("--kd-n", "kd_n", _fraction, False, None),
+               ("--geometry", "geometry", None, False, None)],
+    "bound": [FORMAT, ("--n", "n", int, False, None), ("--k", "k", int, True, None),
+              ("--kd-n", "kd_n", _fraction, False, None),
+              ("--neg-dn", "neg_dn", _fraction, False, None),
+              ("--components", "components", int, False, None),
+              ("--geometry", "geometry", None, False, None)],
+    "threshold": [FORMAT, ("--n", "n", int, True, None),
+                  ("--neg-dn", "neg_dn", _fraction, False, None)],
+    "table1": [FORMAT],
+    "ranks": [FORMAT, ("--n", "n", int, True, None), ("--k", "k", int, True, None),
+              ("--m", "m", int, True, None)],
+    "boundary": [FORMAT, ("--n", "n", int, True, None), ("--k", "k", int, True, None),
+                 ("--m", "m", int, True, None), ("--neg-dn", "neg_dn", _fraction, True, None),
+                 ("--components", "components", int, False, None)],
+    "minorder": [FORMAT, ("--n", "n", int, False, None),
+                 ("--kd-n", "kd_n", _fraction, False, None),
+                 ("--neg-dn", "neg_dn", _fraction, False, None),
+                 ("--components", "components", int, False, None),
+                 ("--geometry", "geometry", None, False, None),
+                 ("--k-max", "k_max", int, False, 50)],
+    "verify": [FORMAT, ("--suite", "suite", None, False, "all"),
+               ("--fast", "fast", None, False, False)],
+}
+
+
+def test_every_subcommand_takes_its_pinned_flags():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert list(subparsers.choices) == list(FLAGS)
+    for command, parser in subparsers.choices.items():
+        flags = [
+            (*action.option_strings, action.dest,
+             action.type, action.required, action.default)
+            for action in parser._actions if action.dest != "help"
+        ]
+        assert flags == FLAGS[command], command
 
 
 @pytest.mark.parametrize("key", ["segre=1,-2,99", "chern=1,3,3"])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wsegre import bounds, chow, combinatorics, jets, oracles
-from wsegre.cli import _fraction, _parse_summand, _read_geometry_file, _resolve_inputs
+from wsegre.cli import _fraction, _parse_summand, _read_geometry_file, _resolve_inputs, main
 
 GEOMETRY = bounds.GeometryInput(2, Fraction(9), Fraction(-1))
 BOUNDARY = jets.BoundaryData(2, Fraction(1))
@@ -91,6 +91,7 @@ GEOMETRY_FILES = {
     "line without =": ("n = 2\nkd_n 9\n", ":2: expected 'key = value'"),
     "unknown key": ("n = 2\ncomponent = 2\n", ":2: unknown key 'component'"),
     "bad value": ("n = 2\nkd_n = 9/0\n", "bad value for 'kd_n' in geometry file"),
+    "repeated key": ("n = 2\nkd_n = 9\n# again\nn = 3\n", ":4: repeated key 'n'"),
 }
 
 
@@ -103,6 +104,14 @@ def test_geometry_file_rejects(tmp_path, case):
     with pytest.raises(ValueError) as caught:
         _resolve_inputs(args, "n", "kd_n")
     assert message in str(caught.value)
+
+
+def test_a_flag_does_not_hide_a_bad_geometry_value(tmp_path, capsys):
+    path = tmp_path / "geometry.txt"
+    path.write_text("n = 2\nkd_n = 9/0\nneg_dn = -1\n")
+    assert main(["bound", "--k", "1", "--kd-n", "9", "--geometry", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {path}:2: bad value for 'kd_n' in geometry file\n")
 
 
 def test_unreadable_geometry_file(tmp_path):
