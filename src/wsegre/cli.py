@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import math
+import re
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional
@@ -35,9 +37,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Text that Fraction refuses only for a part past the int-to-string digit limit.
+_LONG_RATIONAL = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def _fraction(text: str) -> Fraction:
+    """The rational of a "P/Q" or decimal text.  An integer part past the
+    interpreter's int-to-string digit limit is read through Decimal, which is
+    exact there, as ``chow._digits`` prints it."""
     try:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError:
+            match = _LONG_RATIONAL.fullmatch(text)
+            if match is None:
+                raise
+            num, den = (int(decimal.Decimal(part)) for part in match.groups("1"))
+            return Fraction(num, den)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational P/Q: {text!r}")
 
@@ -79,10 +95,15 @@ def _rational_text(value: Fraction) -> str:
     return text if approx is None else f"{text} (~ {approx:.12g})"
 
 
+def _parts(value: Fraction) -> tuple:
+    """The num, den and approx of a Fraction, as json fields or csv cells."""
+    return _digits(value.numerator), _digits(value.denominator), _approx(value)
+
+
 def _csv_cells(row):
     for cell in row:
         if isinstance(cell, Fraction):
-            yield from (_digits(cell.numerator), _digits(cell.denominator), _approx(cell))
+            yield from _parts(cell)
         else:
             yield cell
 
@@ -100,11 +121,8 @@ def _emit(args, record: _Record) -> int:
             "result": record.result,
             "warnings": list(record.warnings),
         }
-        text = json.dumps(payload, indent=2, default=lambda value: {
-            "num": _digits(value.numerator),
-            "den": _digits(value.denominator),
-            "approx": _approx(value),
-        }) + "\n"
+        text = json.dumps(payload, indent=2, default=lambda value: dict(
+            zip(("num", "den", "approx"), _parts(value)))) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -131,9 +149,11 @@ def _scalar(command: str, inputs: dict, value: Fraction, warnings=()) -> _Record
 
 # Each input a subcommand takes as a flag ``--key`` (``_`` spelt ``-``) or,
 # for the fields of ``GeometryInput``, as a geometry-file line ``key = value``,
-# with the type that converts its text; flags are registered in this order.
+# with the type that converts its text; flags are registered, and inputs
+# resolved and echoed, in this order.
 _INPUTS = {"n": int, "k": int, "m": int, "kd_n": _fraction, "neg_dn": _fraction, "components": int}
-_GEOMETRY_KEYS = tuple(field.name for field in fields(bounds.GeometryInput))
+# The fields of ``GeometryInput``, each with its default or ``MISSING``.
+_GEOMETRY = {field.name: field.default for field in fields(bounds.GeometryInput)}
 
 
 def _read_geometry_file(path: str) -> dict:
@@ -151,9 +171,9 @@ def _read_geometry_file(path: str) -> dict:
                 where = f"{path}:{lineno}:"
                 if not eq:
                     raise ValueError(f"{where} expected 'key = value'")
-                if key not in _GEOMETRY_KEYS:
+                if key not in _GEOMETRY:
                     raise ValueError(
-                        f"{where} unknown key {key!r} (expected {', '.join(_GEOMETRY_KEYS)})"
+                        f"{where} unknown key {key!r} (expected {', '.join(_GEOMETRY)})"
                     )
                 if key in values:
                     raise ValueError(f"{where} repeated key {key!r}")
@@ -166,25 +186,21 @@ def _read_geometry_file(path: str) -> dict:
     return values
 
 
-def _resolve_inputs(args, *keys) -> list:
-    """The value of each key from its flag, else from the geometry file;
-    ``components`` defaults to 1."""
-    given = {"components": 1}
-    if getattr(args, "geometry", None):
-        given.update(_read_geometry_file(args.geometry))
-    values = []
-    for key in keys:
+def _resolve_inputs(args) -> dict:
+    """Each input the subcommand declares, in ``_INPUTS`` order, from its flag,
+    else from the geometry file, else from its ``GeometryInput`` default; an
+    optional input with no value is left out."""
+    given = _read_geometry_file(args.geometry) if getattr(args, "geometry", None) else {}
+    inputs = {}
+    for key, required in args.inputs.items():
         val = getattr(args, key)
         if val is None:
-            if key not in given:
-                raise ValueError(f"missing required input {key!r} (flag or geometry file)")
-            val = given[key]
-        values.append(val)
-    return values
-
-
-def _resolve_geometry(args) -> bounds.GeometryInput:
-    return bounds.GeometryInput(*_resolve_inputs(args, *_GEOMETRY_KEYS))
+            val = given.get(key, _GEOMETRY.get(key, MISSING))
+        if val is not MISSING:
+            inputs[key] = val
+        elif required:
+            raise ValueError(f"missing required input {key!r} (flag or geometry file)")
+    return inputs
 
 
 # ---------------------------------------------------------------- subcommands
@@ -229,61 +245,50 @@ def _parse_summand(spec: str, dim: int) -> WeightedSummand:
         raise ValueError(f"summand {spec!r}: {exc}")
 
 
-def _cmd_segre(args) -> _Record:
+def _cmd_segre(args, inputs) -> _Record:
     summands = [_parse_summand(spec, args.dim) for spec in args.summand]
     result = segre_of_weighted_sum(summands)
-    inputs = {
+    echo = {
         "dim": args.dim,
         "summands": [
             {"rank": s.rank, "weight": s.weight, "segre": s.segre.coeffs}
             for s in summands
         ],
     }
-    return _Record("segre", inputs, {"coeffs": result.coeffs},
+    return _Record("segre", echo, {"coeffs": result.coeffs},
                    ("degree", "num", "den", "approx"), enumerate(result.coeffs), [result])
 
 
-def _cmd_volume(args) -> _Record:
-    n, kd_n = _resolve_inputs(args, "n", "kd_n")
-    value = bounds.logarithmic_volume(n, args.k, kd_n)
-    return _scalar("volume", {"n": n, "k": args.k, "kd_n": kd_n}, value)
+def _cmd_volume(args, inputs) -> _Record:
+    return _scalar("volume", inputs, bounds.logarithmic_volume(**inputs))
 
 
-def _cmd_bound(args) -> _Record:
-    geometry = _resolve_geometry(args)
-    value = bounds.volume_lower_bound(geometry, args.k)
-    inputs = {
-        "n": geometry.n,
-        "k": args.k,
-        "kd_n": geometry.kd_n,
-        "neg_dn": geometry.neg_dn,
-        "components": geometry.components,
-        "canonical_volume": geometry.canonical_volume,
-    }
-    return _scalar("bound", inputs, value, geometry.warnings)
+def _cmd_bound(args, inputs) -> _Record:
+    geometry = bounds.GeometryInput(*map(inputs.get, _GEOMETRY))
+    value = bounds.volume_lower_bound(geometry, inputs["k"])
+    echo = {**inputs, "canonical_volume": geometry.canonical_volume}
+    return _scalar("bound", echo, value, geometry.warnings)
 
 
-def _cmd_threshold(args) -> _Record:
-    value = bounds.threshold_logk(args.n, args.neg_dn)
+def _cmd_threshold(args, inputs) -> _Record:
+    n, neg_dn = inputs["n"], inputs.get("neg_dn")
+    value = bounds.threshold_logk(n, neg_dn)
     rounded = round(value)
     try:
         min_k: Optional[int] = max(1, math.ceil(math.exp(value)))  # orders start at 1
     except OverflowError:
         min_k = None
     min_k_text = str(min_k) if min_k is not None else "astronomically large (exp overflows)"
-    inputs = {"n": args.n}
-    if args.neg_dn is not None:
-        inputs["neg_dn"] = args.neg_dn
-    warnings = (bounds._NEG_DN_WARNING,) if args.n in (4, 5) and args.neg_dn >= 0 else ()
+    warnings = (bounds._NEG_DN_WARNING,) if n in (4, 5) and neg_dn >= 0 else ()
     shown = (("threshold log k", value), ("rounded", rounded), ("min integer k", min_k_text))
     return _Record(
         "threshold", inputs, {"logk": value, "rounded": rounded, "min_integer_k": min_k},
-        ("n", "logk", "rounded", "min_integer_k"), [(args.n, value, rounded, min_k_text)],
+        ("n", "logk", "rounded", "min_integer_k"), [(n, value, rounded, min_k_text)],
         (f"{label}: {val}" for label, val in shown), warnings,
     )
 
 
-def _cmd_table1(args) -> _Record:
+def _cmd_table1(args, inputs) -> _Record:
     rows = bounds.threshold_table()
     notes = dict.fromkeys(note for row in rows for note in row.footnotes)
     result = {"rows": [asdict(row) for row in rows]}
@@ -293,38 +298,28 @@ def _cmd_table1(args) -> _Record:
         (f"note {i}: {note}" for i, note in enumerate(notes, start=1)),
     )
     cells = ((row.n, row.coefficient, row.logk, row.text) for row in rows)
-    return _Record("table1", {}, result, ("n", "coefficient", "logk", "text"), cells, lines)
+    return _Record("table1", inputs, result, ("n", "coefficient", "logk", "text"), cells, lines)
 
 
-def _cmd_ranks(args) -> _Record:
-    value = jets.jet_rank(args.n, args.k, args.m)
-    return _scalar("ranks", {"n": args.n, "k": args.k, "m": args.m}, Fraction(value))
+def _cmd_ranks(args, inputs) -> _Record:
+    return _scalar("ranks", inputs, Fraction(jets.jet_rank(**inputs)))
 
 
-def _cmd_boundary(args) -> _Record:
-    n, neg_dn, components = _resolve_inputs(args, "n", "neg_dn", "components")
-    boundary = jets.BoundaryData(n, -neg_dn, components)
-    value = jets.boundary_jet_sections(args.k, args.m, boundary)
-    inputs = {"n": n, "k": args.k, "m": args.m, "neg_dn": neg_dn, "components": components}
+def _cmd_boundary(args, inputs) -> _Record:
+    boundary = jets.BoundaryData(inputs["n"], -inputs["neg_dn"], inputs["components"])
+    value = jets.boundary_jet_sections(inputs["k"], inputs["m"], boundary)
     return _scalar("boundary", inputs, value)
 
 
-def _cmd_minorder(args) -> _Record:
-    geometry = _resolve_geometry(args)
+def _cmd_minorder(args, inputs) -> _Record:
+    geometry = bounds.GeometryInput(*map(inputs.get, _GEOMETRY))
     found = bounds.find_min_k(geometry, args.k_max)
-    inputs = {
-        "n": geometry.n,
-        "kd_n": geometry.kd_n,
-        "neg_dn": geometry.neg_dn,
-        "components": geometry.components,
-        "k_max": args.k_max,
-    }
-    return _Record("minorder", inputs, {"min_k": found}, ("n", "k_max", "min_k"),
-                   [(geometry.n, args.k_max, found)], ["none" if found is None else found],
-                   geometry.warnings)
+    return _Record("minorder", {**inputs, "k_max": args.k_max}, {"min_k": found},
+                   ("n", "k_max", "min_k"), [(geometry.n, args.k_max, found)],
+                   ["none" if found is None else found], geometry.warnings)
 
 
-def _cmd_verify(args) -> _Record:
+def _cmd_verify(args, inputs) -> _Record:
     reports = checks.run_suite(args.suite, fast=args.fast)
     failed = [r.name for r in reports if not r.passed]
     result = {"passed": not failed, "checks": [asdict(r) for r in reports]}
@@ -351,14 +346,17 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text, required=(), optional=(), geometry=False):
+        # The one declaration of the subcommand's inputs, which main resolves;
+        # a geometry file may supply a required geometry key in place of its flag.
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        for key, kind in _INPUTS.items():
-            if key in required or key in optional:
-                p.add_argument("--" + key.replace("_", "-"), type=kind, required=key in required)
+        inputs = {key: key in required for key in _INPUTS if key in required or key in optional}
+        for key, needed in inputs.items():
+            p.add_argument("--" + key.replace("_", "-"), type=_INPUTS[key],
+                           required=needed and not (geometry and key in _GEOMETRY))
         if geometry:
             p.add_argument("--geometry")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, inputs=inputs)
         return p
 
     p = add("segre", _cmd_segre, "Segre class of a weighted direct sum")
@@ -367,16 +365,16 @@ def build_parser() -> _Parser:
                    metavar="rank=R,weight=A,segre=1,s1,...",
                    help="repeatable; accepts segre=... or chern=...")
     add("volume", _cmd_volume, "exact volume of the logarithmic jet algebra",
-        ("k",), ("n", "kd_n"), geometry=True)
+        ("n", "k", "kd_n"), geometry=True)
     add("bound", _cmd_bound, "exact volume lower bound with boundary term",
-        ("k",), _GEOMETRY_KEYS, geometry=True)
+        ("n", "k", "kd_n", "neg_dn"), ("components",), geometry=True)
     add("threshold", _cmd_threshold, "log k threshold for bigness", ("n",), ("neg_dn",))
     add("table1", _cmd_table1, "threshold summary table for n = 4..8")
     add("ranks", _cmd_ranks, "rank of a graded jet piece", ("n", "k", "m"))
     add("boundary", _cmd_boundary, "exact boundary section count",
         ("n", "k", "m", "neg_dn"), ("components",))
     p = add("minorder", _cmd_minorder, "smallest order with a positive bound",
-            (), _GEOMETRY_KEYS, geometry=True)
+            ("n", "kd_n", "neg_dn"), ("components",), geometry=True)
     p.add_argument("--k-max", type=int, default=50)
     p = add("verify", _cmd_verify, "run the self-check suites")
     p.add_argument("--suite", choices=(*checks.SUITE_NAMES, "all"), default="all")
@@ -391,7 +389,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _emit(args, args.func(args))
+        return _emit(args, args.func(args, _resolve_inputs(args)))
     except (ValueError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsegre.chow as chow
 from wsegre.bounds import GeometryInput, logarithmic_volume, volume_lower_bound
@@ -592,3 +594,87 @@ def test_invalid_input_to_every_subcommand_reports_without_a_traceback(capsys):
         assert (command, code, out) == (command, 1, "")
         assert err.startswith(("error:", "usage:")), (command, err)
         assert "Traceback" not in err
+
+
+# ------------------------------------------------------------ resolved inputs
+#
+# json "inputs" echoes each declared input as resolved: from its flag, else the
+# geometry file, else its GeometryInput default, in the order n, k, m, kd_n,
+# neg_dn, components.
+
+def test_boundary_echoes_the_default_component_count(capsys):
+    code, out, _ = run(capsys, "boundary", "--n", "2", "--k", "2", "--m", "4",
+                       "--neg-dn=-1/2", "--format", "json")
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert list(inputs) == ["n", "k", "m", "neg_dn", "components"]
+    assert inputs["components"] == 1
+
+
+def test_geometry_file_without_components_matches_flags(capsys, tmp_path):
+    geom = tmp_path / "geom.txt"
+    geom.write_text("n = 2\nkd_n = 9\nneg_dn = -1\n")
+    code, via_file, _ = run(capsys, "bound", "--k", "3", "--geometry", str(geom),
+                            "--format", "json")
+    assert code == 0
+    assert json.loads(via_file)["inputs"]["components"] == 1
+    assert run(capsys, "bound", "--n", "2", "--k", "3", "--kd-n", "9", "--neg-dn", "-1",
+               "--format", "json") == (0, via_file, "")
+
+
+def test_flag_value_is_echoed_over_the_file_value(capsys, tmp_path):
+    geom = tmp_path / "geom.txt"
+    geom.write_text("n = 2\nkd_n = 9\nneg_dn = -1\n")
+    code, out, _ = run(capsys, "minorder", "--geometry", str(geom), "--kd-n", "5",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["kd_n"] == {"num": "5", "den": "1", "approx": 5.0}
+
+
+def test_threshold_echoes_a_given_boundary_number(capsys):
+    code, out, _ = run(capsys, "threshold", "--n", "6", "--neg-dn=-1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["inputs"] == {
+        "n": 6, "neg_dn": {"num": "-1", "den": "1", "approx": -1.0}
+    }
+
+
+# a call that lacks one required input, with "{geometry}" as in CONTRACT
+MISSING_INPUT = {
+    "volume": (["volume", "--k", "1"], "n"),
+    "bound": (["bound", "--k", "1", "--geometry", "{geometry}"], "neg_dn"),
+    "minorder": (["minorder", "--n", "2", "--kd-n", "9"], "neg_dn"),
+}
+
+
+@pytest.mark.parametrize("command", list(MISSING_INPUT))
+def test_missing_input_is_named_on_stderr(capsys, tmp_path, command):
+    argv, key = MISSING_INPUT[command]
+    geom = tmp_path / "geom.txt"
+    geom.write_text("n = 2\nkd_n = 9\n")
+    argv = [str(geom) if arg == "{geometry}" else arg for arg in argv]
+    assert run(capsys, *argv) == (
+        1, "", f"error: missing required input {key!r} (flag or geometry file)\n"
+    )
+
+
+def test_input_past_the_int_str_digit_limit_is_read_and_echoed(capsys, tmp_path):
+    sevens = "7" * 5000
+    code, out, _ = run(capsys, "bound", "--n", "2", "--k", "1", "--kd-n", sevens,
+                       "--neg-dn=-1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["inputs"]["kd_n"]["num"] == sevens
+    geom = tmp_path / "geom.txt"
+    geom.write_text(f"n = 2\nkd_n = {sevens}\nneg_dn = -1\n")
+    assert run(capsys, "bound", "--k", "1", "--geometry", str(geom),
+               "--format", "json") == (0, out, "")
+
+
+@settings(deadline=None, max_examples=40)
+@given(num_digits=st.integers(1, 10**4), den_digits=st.integers(1, 10**4),
+       negative=st.booleans(), rng=st.randoms(use_true_random=True))
+def test_fraction_reads_back_the_printed_text(num_digits, den_digits, negative, rng):
+    num = rng.randrange(10 ** (num_digits - 1), 10**num_digits)
+    den = rng.randrange(10 ** (den_digits - 1), 10**den_digits)
+    value = Fraction(-num if negative else num, den)
+    assert _fraction(chow._fraction_text(value)) == value

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wsegre import bounds, chow, combinatorics, jets, oracles
-from wsegre.cli import _fraction, _parse_summand, _read_geometry_file, _resolve_inputs, main
+from wsegre.cli import _fraction, _parse_summand, _read_geometry_file, main
 
 GEOMETRY = bounds.GeometryInput(2, Fraction(9), Fraction(-1))
 BOUNDARY = jets.BoundaryData(2, Fraction(1))
@@ -86,7 +86,7 @@ def test_validator_rejects(case):
     assert text in str(caught.value)
 
 
-# a geometry file's text and the message its reader or resolver raises
+# a geometry file's text and the message its reader raises
 GEOMETRY_FILES = {
     "line without =": ("n = 2\nkd_n 9\n", ":2: expected 'key = value'"),
     "unknown key": ("n = 2\ncomponent = 2\n", ":2: unknown key 'component'"),
@@ -100,9 +100,8 @@ def test_geometry_file_rejects(tmp_path, case):
     text, message = GEOMETRY_FILES[case]
     path = tmp_path / "geometry.txt"
     path.write_text(text)
-    args = argparse.Namespace(geometry=str(path), n=None, kd_n=None)
     with pytest.raises(ValueError) as caught:
-        _resolve_inputs(args, "n", "kd_n")
+        _read_geometry_file(str(path))
     assert message in str(caught.value)
 
 
