@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .combinatorics import _inverse_at, _series_power, sum_nondecreasing, sum_repeated
 
@@ -26,24 +25,28 @@ _NEG_DN_WARNING = "(-D)^n >= 0: expected a negative signed value"
 _FLOAT_FACTORIAL_MAX = 170  # 170! < sys.float_info.max < 171!
 
 
-@dataclass(frozen=True)
-class GeometryInput:
-    """Intersection data of a compactified ball quotient: dimension n,
-    (K+D)^n, the signed boundary self-intersection (-D)^n (negative for a
-    nonempty boundary), and the number of boundary components."""
-
+class _GeometryFields(NamedTuple):
     n: int
     kd_n: Fraction
     neg_dn: Fraction
     components: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "kd_n", Fraction(self.kd_n))
-        object.__setattr__(self, "neg_dn", Fraction(self.neg_dn))
-        if self.n < 2:
+
+class GeometryInput(_GeometryFields):
+    """Intersection data of a compactified ball quotient: dimension n,
+    (K+D)^n, the signed boundary self-intersection (-D)^n (negative for a
+    nonempty boundary), and the number of boundary components."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        n, kd_n, neg_dn, components = super().__new__(cls, *args, **kwargs)
+        kd_n, neg_dn = Fraction(kd_n), Fraction(neg_dn)
+        if n < 2:
             raise ValueError("geometry needs n >= 2")
-        if self.components < 1:
+        if components < 1:
             raise ValueError("components must be >= 1")
+        return cls._make((n, kd_n, neg_dn, components))
 
     @property
     def canonical_volume(self) -> Fraction:
@@ -193,8 +196,7 @@ def find_min_k(geometry: GeometryInput, k_max: int) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class ThresholdRow:
+class ThresholdRow(NamedTuple):
     """One row of the threshold table: either a numeric log k value (n >= 6)
     or a symbolic bound with an explicit coefficient (n in {4, 5})."""
 
@@ -202,7 +204,7 @@ class ThresholdRow:
     coefficient: Optional[int] = None
     logk: Optional[float] = None
     text: str = ""
-    footnotes: tuple[str, ...] = field(default_factory=tuple)
+    footnotes: tuple[str, ...] = ()
 
 
 _N4_FOOTNOTE = (

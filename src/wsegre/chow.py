@@ -17,11 +17,13 @@ from __future__ import annotations
 import decimal
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .combinatorics import _invert
+
+
+_LEAF_BITS = 2048  # up to this many bits _digits converts an int to Decimal directly
 
 
 def _to_fractions(coeffs: Iterable) -> tuple[Fraction, ...]:
@@ -30,11 +32,30 @@ def _to_fractions(coeffs: Iterable) -> tuple[Fraction, ...]:
 
 def _digits(value: int) -> str:
     """Decimal text of an int of any size.  str() refuses ints past the
-    interpreter's digit limit; Decimal is exact there but slower below it."""
+    interpreter's digit limit.  There the int is split in halves by bits and
+    rebuilt in Decimal, whose large products are subquadratic, as CPython
+    3.12's ``_pylong.int_to_decimal_string`` does; ``Decimal(value)`` alone
+    would be quadratic."""
     try:
         return str(value)
     except ValueError:
-        return str(decimal.Decimal(value))
+        pass
+    powers = {}  # 2^w as a Decimal, for the few widths w that the halving meets
+
+    def rebuild(n: int, width: int) -> decimal.Decimal:
+        if width <= _LEAF_BITS:
+            return decimal.Decimal(n)
+        half = width >> 1
+        high = n >> half
+        if half not in powers:
+            powers[half] = decimal.Decimal(2) ** half
+        return rebuild(n - (high << half), half) + rebuild(high, width - half) * powers[half]
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(rebuild(abs(value), abs(value).bit_length()))
+    return "-" + text if value < 0 else text
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -55,16 +76,16 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return [sum(map(operator.mul, a[: d + 1], reversed(b[: d + 1]))) for d in range(n + 1)]
 
 
-@dataclass(frozen=True)
 class TotalClass:
     """A class in the degree-<=dim part of the rational Chow ring of P^dim.
 
     ``coeffs[i]`` is the coefficient of H^i.  Construction pads missing
     coefficients with zero and silently drops terms above degree ``dim``.
+    Instances are immutable and hashable.  The class is no tuple, so that
+    ``+`` raises instead of concatenating.
     """
 
-    dim: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("dim", "coeffs")
 
     def __init__(self, dim: int, coeffs: Iterable = ()):
         if dim < 0:
@@ -73,6 +94,26 @@ class TotalClass:
         cs += [Fraction(0)] * (dim + 1 - len(cs))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return TotalClass, (self.dim, self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.coeffs) == (other.dim, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.dim, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"TotalClass(dim={self.dim!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def unit(cls, dim: int) -> "TotalClass":
@@ -146,22 +187,27 @@ class TotalClass:
         return s
 
 
-@dataclass(frozen=True)
-class WeightedSummand:
-    """One summand of a weighted direct sum: a bundle given by its total
-    Segre class, its rank, and a positive integer weight."""
-
+class _SummandFields(NamedTuple):
     segre: TotalClass
     rank: int
     weight: int
 
-    def __post_init__(self):
+
+class WeightedSummand(_SummandFields):
+    """One summand of a weighted direct sum: a bundle given by its total
+    Segre class, its rank, and a positive integer weight."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.weight < 1:
             raise ValueError("weight must be >= 1")
         if self.segre.coeffs[0] != 1:
             raise ValueError("total Segre class must start with 1")
+        return self
 
     @classmethod
     def from_chern(cls, chern: TotalClass, rank: int, weight: int) -> "WeightedSummand":

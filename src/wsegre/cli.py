@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import io
 import json
 import math
 import re
 import sys
-from dataclasses import MISSING, asdict, astuple, dataclass, fields
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import bounds, checks, jets
 from .chow import TotalClass, WeightedSummand, _digits, _fraction_text, segre_of_weighted_sum
@@ -37,29 +35,65 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# Text that Fraction refuses only for a part past the int-to-string digit limit.
-_LONG_RATIONAL = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*")
+# The "P/Q" and decimal notation Fraction reads (sign, integer digits, then
+# Q, or fraction digits and exponent), in ASCII digits.  Fraction refuses such
+# a text only for a digit run past the int-to-string digit limit.
+_RATIONAL = re.compile(
+    r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)\s*"
+)
+_LEAF_DIGITS = 512  # under the smallest int-to-string digit limit Python allows (640)
+
+
+def _read_int(digits: str) -> int:
+    """``int(digits)`` for ASCII digits of any length: the text is split in
+    halves, read half by half and joined as ``high·10^len(low) + low``, the
+    inverse of ``chow._digits``, in subquadratic time."""
+    powers = {}  # 10^w for the few widths w that the halving meets
+
+    def read(start: int, stop: int) -> int:
+        if stop - start <= _LEAF_DIGITS:
+            return int(digits[start:stop])
+        mid = (start + stop) >> 1
+        if stop - mid not in powers:
+            powers[stop - mid] = 10 ** (stop - mid)
+        return read(start, mid) * powers[stop - mid] + read(mid, stop)
+
+    return read(0, len(digits))
+
+
+def _shown(text: str) -> str:
+    """``repr(text)``, except that a text past the int-to-string digit limit
+    shows as its leading characters and its length, as ``checks._show_int``
+    shows a long integer."""
+    if 0 < sys.get_int_max_str_digits() < len(text):
+        return f"{text[:checks._LEADING_DIGITS]!r}... ({len(text)} characters)"
+    return repr(text)
 
 
 def _fraction(text: str) -> Fraction:
-    """The rational of a "P/Q" or decimal text.  An integer part past the
-    interpreter's int-to-string digit limit is read through Decimal, which is
-    exact there, as ``chow._digits`` prints it."""
+    """The rational of a "P/Q" or decimal text.  Digits past the
+    interpreter's int-to-string digit limit are read exactly by
+    ``_read_int``, so every value ``chow._digits`` prints reads back."""
     try:
         try:
             return Fraction(text)
         except ValueError:
-            match = _LONG_RATIONAL.fullmatch(text)
+            match = _RATIONAL.fullmatch(text)
             if match is None:
                 raise
-            num, den = (int(decimal.Decimal(part)) for part in match.groups("1"))
-            return Fraction(num, den)
+            sign, num, den, frac, exp = match.groups("")
+            num, den = _read_int(num + frac), _read_int(den or "1")
+            shift = int(exp or "0") - len(frac)
+            if shift >= 0:
+                num *= 10**shift
+            else:
+                den *= 10**-shift
+            return Fraction(-num if sign == "-" else num, den)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational P/Q: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a rational P/Q: {_shown(text)}")
 
 
-@dataclass
-class _Record:
+class _Record(NamedTuple):
     """What a subcommand computed, for ``_emit`` to render in one format.
 
     A Fraction may stand anywhere in ``inputs`` and ``result``, as a csv cell
@@ -152,8 +186,8 @@ def _scalar(command: str, inputs: dict, value: Fraction, warnings=()) -> _Record
 # with the type that converts its text; flags are registered, and inputs
 # resolved and echoed, in this order.
 _INPUTS = {"n": int, "k": int, "m": int, "kd_n": _fraction, "neg_dn": _fraction, "components": int}
-# The fields of ``GeometryInput``, each with its default or ``MISSING``.
-_GEOMETRY = {field.name: field.default for field in fields(bounds.GeometryInput)}
+# The fields of ``GeometryInput``; ``GeometryInput._field_defaults`` holds their defaults.
+_GEOMETRY = bounds.GeometryInput._fields
 
 
 def _read_geometry_file(path: str) -> dict:
@@ -195,8 +229,8 @@ def _resolve_inputs(args) -> dict:
     for key, required in args.inputs.items():
         val = getattr(args, key)
         if val is None:
-            val = given.get(key, _GEOMETRY.get(key, MISSING))
-        if val is not MISSING:
+            val = given.get(key, bounds.GeometryInput._field_defaults.get(key))
+        if val is not None:
             inputs[key] = val
         elif required:
             raise ValueError(f"missing required input {key!r} (flag or geometry file)")
@@ -291,7 +325,7 @@ def _cmd_threshold(args, inputs) -> _Record:
 def _cmd_table1(args, inputs) -> _Record:
     rows = bounds.threshold_table()
     notes = dict.fromkeys(note for row in rows for note in row.footnotes)
-    result = {"rows": [asdict(row) for row in rows]}
+    result = {"rows": [row._asdict() for row in rows]}
     lines = chain(
         ["n    threshold on log k"],
         (f"{row.n:<4} {row.text}" for row in rows),
@@ -322,7 +356,7 @@ def _cmd_minorder(args, inputs) -> _Record:
 def _cmd_verify(args, inputs) -> _Record:
     reports = checks.run_suite(args.suite, fast=args.fast)
     failed = [r.name for r in reports if not r.passed]
-    result = {"passed": not failed, "checks": [asdict(r) for r in reports]}
+    result = {"passed": not failed, "checks": [r._asdict() for r in reports]}
 
     def lines():
         for r in reports:
@@ -333,9 +367,8 @@ def _cmd_verify(args, inputs) -> _Record:
         if failed:
             yield "first failures: " + "; ".join(failed[:3])
 
-    header = tuple(field.name for field in fields(VerificationReport))
     return _Record("verify", {"suite": args.suite, "fast": args.fast}, result,
-                   header, map(astuple, reports), lines(), code=2 if failed else 0)
+                   VerificationReport._fields, reports, lines(), code=2 if failed else 0)
 
 
 # --------------------------------------------------------------------- wiring

@@ -13,34 +13,39 @@ enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .combinatorics import _part_count_sums, sum_nondecreasing, weighted_partitions
 
 
-@dataclass(frozen=True)
-class BoundaryData:
+class _BoundaryFields(NamedTuple):
+    n: int
+    neg_dn_abs: Fraction
+    components: int = 1
+
+
+class BoundaryData(_BoundaryFields):
     """Boundary of a compactified n-fold: ``neg_dn_abs`` is the positive
     number -(-D)^n for the boundary divisor D, ``components`` the number of
     disjoint abelian components (so the structure sheaf has that many
     sections)."""
 
-    n: int
-    neg_dn_abs: Fraction
-    components: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "neg_dn_abs", Fraction(self.neg_dn_abs))
-        if self.n < 2:
+    def __new__(cls, *args, **kwargs):
+        n, neg_dn_abs, components = super().__new__(cls, *args, **kwargs)
+        neg_dn_abs = Fraction(neg_dn_abs)
+        if n < 2:
             raise ValueError("boundary data needs n >= 2")
-        if self.neg_dn_abs <= 0:
+        if neg_dn_abs <= 0:
             raise ValueError(
                 "-(-D)^n must be positive: boundary data needs a negative signed value (-D)^n"
             )
-        if self.components < 1:
+        if components < 1:
             raise ValueError("components must be >= 1")
+        return cls._make((n, neg_dn_abs, components))
 
 
 def jet_rank(n: int, k: int, m: int) -> int:

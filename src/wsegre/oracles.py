@@ -13,10 +13,9 @@ Enumerations carry explicit guards instead of silently running for hours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .chow import weighted_tangent_top_segre
 from .combinatorics import (
@@ -29,8 +28,7 @@ from .combinatorics import (
 ENUMERATION_GUARD = 10**7
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one identity or asymptotic check, with the two values that
     were compared."""
 

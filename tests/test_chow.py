@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -30,6 +32,19 @@ class TestTotalClass:
         assert tc(1, 1, 2, 3, 4).coeffs == (1, 2)  # silent truncation
         with pytest.raises(ValueError):
             TotalClass(-1, (1,))
+
+    def test_is_an_immutable_value_and_no_tuple(self):
+        x = tc(2, 1, Fraction(1, 2))
+        with pytest.raises(TypeError):
+            x + x  # no ring addition is defined; a tuple would concatenate
+        with pytest.raises(AttributeError):
+            x.dim = 3
+        with pytest.raises(AttributeError):
+            del x.coeffs
+        assert x != (2, x.coeffs)
+        for same in (copy.deepcopy(x), pickle.loads(pickle.dumps(x)), tc(2, 1, 0.5)):
+            assert same == x and hash(same) == hash(x)
+        assert repr(x) == "TotalClass(dim=2, coeffs=(Fraction(1, 1), Fraction(1, 2), Fraction(0, 1)))"
 
     def test_mul_truncates(self):
         assert tc(1, 1, 1) * tc(1, 1, -1) == TotalClass.unit(1)

@@ -1,11 +1,12 @@
 """Property tests: the integer kernel of ``chow`` against plain Fraction
-arithmetic on random classes.
+arithmetic on random classes, and its printer against ``str()``.
 
 The reference functions below are the straightforward Fraction versions of
 the product, the inverse and the weighted Whitney product: one Fraction
 multiply-add per term."""
 
 import math
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from wsegre.chow import (
     TotalClass,
     WeightedSummand,
+    _digits,
     segre_of_weighted_sum,
     weighted_tangent_top_segre,
 )
@@ -148,3 +150,17 @@ def test_volume_identity_past_the_verify_grid():
         for k in range(1, 13):
             lhs = weighted_tangent_top_segre(n, k) * math.factorial(k) ** n
             assert lhs == sum_repeated(n, k), (n, k)
+
+
+@settings(deadline=None, max_examples=40)
+@given(num_digits=st.integers(1, 10**5), negative=st.booleans(),
+       rng=st.randoms(use_true_random=True))
+def test_digits_matches_str_at_any_size(num_digits, negative, rng):
+    value = rng.randrange(10 ** (num_digits - 1), 10**num_digits) * (-1 if negative else 1)
+    printed = _digits(value)  # under the interpreter's digit limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert printed == str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)

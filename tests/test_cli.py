@@ -678,3 +678,38 @@ def test_fraction_reads_back_the_printed_text(num_digits, den_digits, negative, 
     den = rng.randrange(10 ** (den_digits - 1), 10**den_digits)
     value = Fraction(-num if negative else num, den)
     assert _fraction(chow._fraction_text(value)) == value
+
+
+def test_fraction_reads_back_a_fixed_value_past_the_hypothesis_sizes():
+    # 10^5 sevens over 3^209590 (100,000 digits), and its negative
+    value = Fraction(7 * (10**100000 - 1) // 9, 3**209590)
+    for signed in (value, -value):
+        assert _fraction(chow._fraction_text(signed)) == signed
+
+
+LONG_DECIMALS = {
+    "point": "0." + "7" * 5000,
+    "exponent": "7" * 5000 + "e-5000",
+    "signed": " -." + "7" * 5000 + " ",
+    "both": "+" + "7" * 5000 + "." + "7" * 5000 + "E2500",
+}
+
+
+@pytest.mark.parametrize("text", list(LONG_DECIMALS.values()), ids=list(LONG_DECIMALS))
+def test_fraction_reads_long_decimal_notation_exactly(text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert _fraction(text) == expected
+
+
+def test_long_bad_input_is_shortened_in_the_error(capsys):
+    code, out, err = run(capsys, "bound", "--n", "2", "--k", "1",
+                         "--kd-n", "7" * 5000 + "x", "--neg-dn=-1")
+    assert (code, out) == (1, "")
+    assert err.endswith("argument --kd-n: not a rational P/Q: "
+                        "'77777777777777777777'... (5001 characters)\n")
+    assert len(err) < 400

@@ -1,13 +1,18 @@
-"""The runtime imports only the standard library.
+"""The runtime imports only the standard library, and starts without the
+slow part of it.
 
 ``README.md`` promises a runtime with no third-party dependency
 (``pyproject.toml`` lists none).  Every absolute ``import`` in the package
 sources must therefore name a module of ``sys.stdlib_module_names``;
-relative imports stay inside the package and are skipped.
+relative imports stay inside the package and are skipped.  Every CLI call
+is a fresh process, so importing the CLI must not load ``dataclasses`` and
+the chain it pulls in (``inspect``, ``ast``, ``dis``, ``tokenize``, ...).
 """
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "wsegre").glob("*.py"))
@@ -30,3 +35,13 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # The child imports the package from these sources, installed or not.
+    src = str(SOURCES[0].parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, wsegre.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
