@@ -41,7 +41,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # The child imports the package from these sources, installed or not.
     src = str(SOURCES[0].parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, wsegre.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = ("import sys; before = set(sys.modules); import wsegre.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
