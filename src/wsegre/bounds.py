@@ -141,6 +141,11 @@ def boundary_factor(k_log: float, n: int) -> float:
     return head + tail
 
 
+def _low_range_coefficient(n: int) -> int:
+    """(n-2)*n! + 1, the coefficient of -(-D)^n in the n = 4, 5 threshold."""
+    return (n - 2) * math.factorial(n) + 1
+
+
 def threshold_logk(n: int, neg_dn: Optional[Fraction] = None) -> float:
     """Value of log k beyond which the order-k jet tautological bundle is
     big on an n-dimensional compactified ball quotient.
@@ -161,7 +166,7 @@ def threshold_logk(n: int, neg_dn: Optional[Fraction] = None) -> float:
     else:
         if neg_dn is None:
             raise ValueError(f"n = {n} needs neg_dn (--neg-dn), the signed value (-D)^n")
-        coeff = (n - 2) * math.factorial(n) + 1
+        coeff = _low_range_coefficient(n)
         try:
             value = -GAMMA - float(neg_dn) * coeff
         except OverflowError:  # (-D)^n alone is past the float range
@@ -228,7 +233,7 @@ def threshold_table() -> list[ThresholdRow]:
     """
     rows = []
     for n in (4, 5):
-        coeff = (n - 2) * math.factorial(n) + 1
+        coeff = _low_range_coefficient(n)
         notes = (_N4_FOOTNOTE, _SIGN_FOOTNOTE) if n == 4 else (_SIGN_FOOTNOTE,)
         rows.append(
             ThresholdRow(

@@ -164,9 +164,13 @@ def check_volume_decomposition(trials: int) -> VerificationReport:
 def check_harmonic_recurrence() -> VerificationReport:
     trials = 50
     rng = random.Random(_SEED + 4)
-    for _ in range(trials):
-        k = rng.randint(2, 400)
-        step = harmonic(k) - harmonic(k - 1)
+    ks = [rng.randint(2, 400) for _ in range(trials)]
+    # H_(k-1) = B_1/(k-1)! for every drawn k, from one walk over their orders
+    before = {
+        j + 1: Fraction(b[1], scale) for j, scale, b in _inverse_at(1, sorted({k - 1 for k in ks}))
+    }
+    for k in ks:
+        step = harmonic(k) - before[k]
         if step != Fraction(1, k):
             return _report("harmonic recurrence", False, step, Fraction(1, k), f"k={k}")
     return _report("harmonic recurrence", True, f"{trials} random k", "H_k - H_(k-1) = 1/k")
@@ -345,17 +349,24 @@ def check_interior_chain(n_max: int, k_dense: int, k_spots: Sequence[int]) -> Ve
     )
 
 
-def _boundary_rhs(n: int, k: int) -> float:
+_BOUNDARY_DEGREES = range(3, 9)
+# n, n! and (pi^2/6)(n-2) for each n of _BOUNDARY_DEGREES
+_BOUNDARY_WEIGHTS = [(n, math.factorial(n), (PI * PI / 6) * (n - 2)) for n in _BOUNDARY_DEGREES]
+
+
+def _boundary_rhs(k: int) -> list[float]:
+    """The bound on sum_nondecreasing(n, k) for each n of ``_BOUNDARY_DEGREES``."""
     j = math.log(k) + GAMMA
-    return (j + 0.5) ** n / math.factorial(n) + (PI * PI / 6) * (n - 2) * (j + 1.5) ** (n - 2)
+    head, tail = j + 0.5, j + 1.5
+    return [head**n / fact + weight * tail ** (n - 2) for n, fact, weight in _BOUNDARY_WEIGHTS]
 
 
 def check_boundary_chain(k_dense: int, k_spots: Sequence[int], sweep_to: int) -> VerificationReport:
-    degrees = range(3, 9)
+    degrees = _BOUNDARY_DEGREES
     for k, scale, b in _inverse_at(degrees[-1], chain(range(2, k_dense + 1), k_spots)):
         # sum_nondecreasing(n, k) = B_n/(k!)^n for every n, from one sweep
-        for n in degrees:
-            value, bound = b[n] / scale**n, _boundary_rhs(n, k)
+        for n, bound in zip(degrees, _boundary_rhs(k)):
+            value = b[n] / scale**n
             if value > bound * (1 + 1e-12):
                 return _report(
                     "boundary sum upper bound", False, value, bound, f"exact value, n={n}, k={k}"
@@ -368,8 +379,7 @@ def check_boundary_chain(k_dense: int, k_spots: Sequence[int], sweep_to: int) ->
     for k in range(2, sweep_to + 1):
         for d in range(1, len(c)):
             c[d] += c[d - 1] / k
-        for n in degrees:
-            bound = _boundary_rhs(n, k)
+        for n, bound in zip(degrees, _boundary_rhs(k)):
             if c[n] > bound * (1 + 1e-9):
                 return _report(
                     "boundary sum upper bound", False, c[n], bound, f"float sweep, n={n}, k={k}"
@@ -394,17 +404,23 @@ def check_harmonic_bracketing(k_max: int) -> VerificationReport:
         comp = (t - total) - y
         total = t
         gap = t - log(k)
-        if not floor < gap <= ceiling:
-            return _report("harmonic bracketing", False, gap, (GAMMA, GAMMA + 0.5), f"k={k}")
+        # a gap past either bound is a new extreme, so each bound is tested
+        # only there
         if gap < lo:
+            if not floor < gap:
+                break
             lo = gap
         if gap > hi:
+            if not gap <= ceiling:
+                break
             hi = gap
-    return _report(
-        "harmonic bracketing", True,
-        f"H_k - log k in [{lo:.12f}, {hi:.12f}] for k <= {k_max}",
-        f"(gamma, gamma + 1/2] = ({GAMMA:.12f}, {GAMMA + 0.5:.12f}]",
-    )
+    else:
+        return _report(
+            "harmonic bracketing", True,
+            f"H_k - log k in [{lo:.12f}, {hi:.12f}] for k <= {k_max}",
+            f"(gamma, gamma + 1/2] = ({GAMMA:.12f}, {GAMMA + 0.5:.12f}]",
+        )
+    return _report("harmonic bracketing", False, gap, (GAMMA, GAMMA + 0.5), f"k={k}")
 
 
 def check_partition_power_growth(

@@ -220,16 +220,15 @@ class WeightedSummand(_SummandFields):
 def projective_tangent_segre(n: int) -> TotalClass:
     """Total Segre class of the tangent bundle of P^n.
 
-    The total Chern class is (1+H)^(n+1), so the Segre class is the truncated
-    power (1 - H + H^2 - ...)^(n+1).
+    The total Chern class is (1+H)^(n+1), so the Segre class is
+    (1+H)^-(n+1), whose coefficient of H^i is (-1)^i C(n+i, i).
 
     >>> str(projective_tangent_segre(1))
     '1 - 2·H'
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    alternating = TotalClass(n, ((-1) ** i for i in range(n + 1)))
-    return alternating ** (n + 1)
+    return TotalClass(n, ((-1) ** i * math.comb(n + i, i) for i in range(n + 1)))
 
 
 def segre_of_weighted_summand(summand: WeightedSummand) -> TotalClass:

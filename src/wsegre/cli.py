@@ -42,6 +42,11 @@ _RATIONAL = re.compile(
     r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)\s*"
 )
 _LEAF_DIGITS = 512  # under the smallest int-to-string digit limit Python allows (640)
+# The exponent of a decimal notation, as Fraction reads it.  Its value is
+# bounded before the text is read: 1e(10^6) already builds a power of a
+# million digits (0.3 s), and a few more exponent digits would run for hours.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_MAX_EXPONENT = 10**6
 
 
 def _read_int(digits: str) -> int:
@@ -73,7 +78,15 @@ def _shown(text: str) -> str:
 def _fraction(text: str) -> Fraction:
     """The rational of a "P/Q" or decimal text.  Digits past the
     interpreter's int-to-string digit limit are read exactly by
-    ``_read_int``, so every value ``chow._digits`` prints reads back."""
+    ``_read_int``, so every value ``chow._digits`` prints reads back.  An
+    exponent past +-``_MAX_EXPONENT`` is refused before any power is built."""
+    exponent = _EXPONENT.search(text)
+    if exponent is not None:
+        digits = exponent[1].replace("_", "").lstrip("+-0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"exponent out of bounds (|e| <= {_MAX_EXPONENT}): {_shown(text)}"
+            )
     try:
         try:
             return Fraction(text)

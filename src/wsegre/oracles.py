@@ -161,27 +161,29 @@ def check_partition_power_growth(n: int, k: int, r_max: int) -> VerificationRepo
     powers = _part_count_sums([j**n for j in range(n + 1)], k, r_max)
     e = n + k - 1
     # ratio = (powers[r] / n!) / (lead * r^e / e!) = num * powers[r] / (den * r^e),
-    # so excess = r * (ratio - 1) is one Fraction per r
+    # so excess = r * (ratio - 1) is top / bottom with the integers below, and
+    # bottom > 0: every comparison is made across the fractions in integers
     scale = Fraction(math.factorial(e), math.factorial(n)) / lead
     num, den = scale.numerator, scale.denominator
-    limit = Fraction(slack)  # one conversion instead of one per comparison
+    slack_num, slack_den = slack.as_integer_ratio()
     window_start = r_max // 10
-    worst = Fraction(0)
+    worst_top, worst_bottom = 0, 1
     hold_from: Optional[int] = None
     for r in range(1, r_max + 1):
-        excess = Fraction(num * powers[r] - den * r**e, den * r ** (e - 1))
-        if excess <= limit:
+        top, bottom = num * powers[r] - den * r**e, den * r ** (e - 1)
+        if top * slack_den <= slack_num * bottom:
             if hold_from is None:
                 hold_from = r
         else:
             hold_from = None
-        if r >= window_start:
-            worst = max(worst, excess)
+        if r >= window_start and top * worst_bottom > worst_top * bottom:
+            worst_top, worst_bottom = top, bottom
+    worst = float(Fraction(worst_top, worst_bottom))
     return VerificationReport(
         name=f"partition power growth (n={n}, k={k})",
         # a failing r resets hold_from, so this also covers every r in the window
         passed=hold_from is not None and hold_from <= window_start,
-        lhs=f"max r*(ratio-1) = {float(worst):.3f} on [{window_start}, {r_max}]",
+        lhs=f"max r*(ratio-1) = {worst:.3f} on [{window_start}, {r_max}]",
         rhs=f"allowed slack {slack}",
         detail=f"ratio <= 1 + {slack}/r holds from r = {hold_from}",
     )

@@ -89,19 +89,21 @@ def test_pinned_partition_power_growth_report(n, k, r_max):
     )
 
 
-def test_boundary_sweep_failure_names_first_k_then_smallest_n(monkeypatch):
+def _patch_boundary_rhs(monkeypatch, zero):
+    """Make ``checks._boundary_rhs`` bound (n, k) by 0.0 where ``zero(n, k)``."""
     true_rhs = checks._boundary_rhs
 
-    def rhs(n, k):
-        # the exact part (k <= 40) passes; in the sweep n = 6 fails from
-        # k = 300 and n = 5 from k = 500, so n = 6 at k = 300 is reported
-        if k <= 40:
-            return float("inf")
-        if (n == 6 and k >= 300) or (n == 5 and k >= 500):
-            return 0.0
-        return true_rhs(n, k)
+    def rhs(k):
+        pairs = zip(checks._BOUNDARY_DEGREES, true_rhs(k))
+        return [0.0 if zero(n, k) else bound for n, bound in pairs]
 
     monkeypatch.setattr(checks, "_boundary_rhs", rhs)
+
+
+def test_boundary_sweep_failure_names_first_k_then_smallest_n(monkeypatch):
+    # the exact part (k <= 40) passes; in the sweep n = 6 fails from k = 300
+    # and n = 5 from k = 500, so n = 6 at k = 300 is reported
+    _patch_boundary_rhs(monkeypatch, lambda n, k: (n == 6 and k >= 300) or (n == 5 and k >= 500))
     report = checks.check_boundary_chain(40, (), 10**3)
     assert not report.passed
     assert report.detail == "float sweep, n=6, k=300"
@@ -109,13 +111,8 @@ def test_boundary_sweep_failure_names_first_k_then_smallest_n(monkeypatch):
 
 
 def test_boundary_exact_failure_names_first_k_then_smallest_n(monkeypatch):
-    true_rhs = checks._boundary_rhs
-
-    def rhs(n, k):
-        # the exact part starts at k = 2, so (3, 1) is never checked
-        return 0.0 if (n, k) in ((7, 5), (4, 9), (3, 1)) else true_rhs(n, k)
-
-    monkeypatch.setattr(checks, "_boundary_rhs", rhs)
+    # the exact part starts at k = 2, so (3, 1) is never checked
+    _patch_boundary_rhs(monkeypatch, lambda n, k: (n, k) in ((7, 5), (4, 9), (3, 1)))
     report = checks.check_boundary_chain(40, (), 10**3)
     assert not report.passed
     assert report.detail == "exact value, n=7, k=5"

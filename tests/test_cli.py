@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import wsegre.chow as chow
 from wsegre.bounds import GeometryInput, logarithmic_volume, volume_lower_bound
-from wsegre.cli import _fraction, build_parser, main
+from wsegre.cli import _fraction, _shown, build_parser, main
 
 
 def run(capsys, *argv):
@@ -704,6 +705,32 @@ def test_fraction_reads_long_decimal_notation_exactly(text):
     finally:
         sys.set_int_max_str_digits(limit)
     assert _fraction(text) == expected
+
+
+@pytest.mark.parametrize("text", ["1e1000000000", "1E-1_000_000_000", "-7e+" + "9" * 5000])
+def test_exponent_past_the_bound_is_refused_before_any_power(capsys, tmp_path, text):
+    # 1e1000000000 would build a power of 10^9 digits, for hours
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bound", "--n", "2", "--k", "1", f"--kd-n={text}",
+                         "--neg-dn=-1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.endswith(
+        f"argument --kd-n: exponent out of bounds (|e| <= 1000000): {_shown(text)}\n"
+    )
+    assert len(err) < 400
+    geom = tmp_path / "geom.txt"
+    geom.write_text(f"n = 2\nkd_n = {text}\nneg_dn = -1\n")
+    code, out, err = run(capsys, "bound", "--k", "1", "--geometry", str(geom))
+    assert (code, out) == (1, "")
+    assert err == f"error: {geom}:2: bad value for 'kd_n' in geometry file\n"
+    assert time.perf_counter() - start < 2
+
+
+def test_exponent_within_the_bound_reads_exactly():
+    assert _fraction("7" * 5000 + "e-5000") == Fraction(7 * (10**5000 - 1) // 9, 10**5000)
+    assert _fraction("3e+0_01") == 30
+    assert _fraction("-1E-5") == Fraction(-1, 10**5)
 
 
 def test_long_bad_input_is_shortened_in_the_error(capsys):
