@@ -11,8 +11,8 @@ the boundary chain, monotone sums, the open bound) walk one series each:
 ones continues the same walk.  Each comparison is made over the common
 denominator (k!)^n in integers, with a ``Fraction`` built only for a failure
 report.  On a 2-vCPU shared Xeon with Python 3.11 the fast suites
-take about 0.07 s in process (0.17 s for a whole ``wsegre verify --fast``
-call) and the full suites about 0.5 s (0.6 s for ``wsegre verify``).
+take about 0.045 s in process (0.12 s for a whole ``wsegre verify --fast``
+call) and the full suites about 0.3 s (0.4 s for ``wsegre verify``).
 """
 
 from __future__ import annotations

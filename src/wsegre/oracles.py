@@ -178,12 +178,12 @@ def check_partition_power_growth(n: int, k: int, r_max: int) -> VerificationRepo
             hold_from = None
         if r >= window_start and top * worst_bottom > worst_top * bottom:
             worst_top, worst_bottom = top, bottom
-    worst = float(Fraction(worst_top, worst_bottom))
+    worst = Fraction(worst_top, worst_bottom)
     return VerificationReport(
         name=f"partition power growth (n={n}, k={k})",
         # a failing r resets hold_from, so this also covers every r in the window
         passed=hold_from is not None and hold_from <= window_start,
-        lhs=f"max r*(ratio-1) = {worst:.3f} on [{window_start}, {r_max}]",
+        lhs=f"max r*(ratio-1) = {float(worst):.3f} on [{window_start}, {r_max}]",
         rhs=f"allowed slack {slack}",
         detail=f"ratio <= 1 + {slack}/r holds from r = {hold_from}",
     )
