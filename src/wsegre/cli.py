@@ -3,8 +3,11 @@
 Subcommands expose the library computations with text, json, or csv output;
 ``verify`` runs the self-check suites.  Exit codes: 0 success, 1 usage or
 input error, 2 verification failure.  Results go to stdout, warnings to
-stderr.  Exact rationals cross the boundary as "P/Q" strings on input and as
-{"num", "den", "approx"} objects in json.
+stderr.  Exact rationals cross the boundary as "P/Q" or decimal strings on
+input and as {"num", "den", "approx"} objects in json.  One reader serves the
+flags, geometry files and --summand coefficients: it reads underscores and
+any script's decimal digits, at any length and on every supported Python, and
+refuses a decimal exponent past 10^6 in absolute value.
 """
 
 from __future__ import annotations
@@ -35,22 +38,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# The "P/Q" and decimal notation Fraction reads (sign, integer digits, then
-# Q, or fraction digits and exponent), in ASCII digits.  Fraction refuses such
-# a text only for a digit run past the int-to-string digit limit.
+# The notation Fraction reads (Python 3.11's grammar): a sign, then decimal
+# digits of any script with single underscores between them, then "/Q", or
+# fraction digits and an exponent; whitespace around the whole.
 _RATIONAL = re.compile(
-    r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)\s*"
+    r"\s*([-+]?)(?=\.?\d)((?:\d+(?:_\d+)*)?)(?:/(\d+(?:_\d+)*)"
+    r"|(?:\.((?:\d+(?:_\d+)*)?))?(?:[eE]([-+]?)(\d+(?:_\d+)*))?)\s*"
 )
 _LEAF_DIGITS = 512  # under the smallest int-to-string digit limit Python allows (640)
-# The exponent of a decimal notation, as Fraction reads it.  Its value is
-# bounded before the text is read: 1e(10^6) already builds a power of a
-# million digits (0.3 s), and a few more exponent digits would run for hours.
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# 1e(10^6) already builds a power of a million digits (0.3 s), and a few more
+# exponent digits would run for hours.
 _MAX_EXPONENT = 10**6
 
 
 def _read_int(digits: str) -> int:
-    """``int(digits)`` for ASCII digits of any length: the text is split in
+    """``int(digits)`` for decimal digits of any length: the text is split in
     halves, read half by half and joined as ``high·10^len(low) + low``, the
     inverse of ``chow._digits``, in subquadratic time."""
     powers = {}  # 10^w for the few widths w that the halving meets
@@ -76,34 +78,28 @@ def _shown(text: str) -> str:
 
 
 def _fraction(text: str) -> Fraction:
-    """The rational of a "P/Q" or decimal text.  Digits past the
-    interpreter's int-to-string digit limit are read exactly by
-    ``_read_int``, so every value ``chow._digits`` prints reads back.  An
-    exponent past +-``_MAX_EXPONENT`` is refused before any power is built."""
-    exponent = _EXPONENT.search(text)
-    if exponent is not None:
-        digits = exponent[1].replace("_", "").lstrip("+-0")
-        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
-            raise argparse.ArgumentTypeError(
-                f"exponent out of bounds (|e| <= {_MAX_EXPONENT}): {_shown(text)}"
-            )
-    try:
-        try:
-            return Fraction(text)
-        except ValueError:
-            match = _RATIONAL.fullmatch(text)
-            if match is None:
-                raise
-            sign, num, den, frac, exp = match.groups("")
-            num, den = _read_int(num + frac), _read_int(den or "1")
-            shift = int(exp or "0") - len(frac)
-            if shift >= 0:
-                num *= 10**shift
-            else:
-                den *= 10**-shift
-            return Fraction(-num if sign == "-" else num, den)
-    except (ValueError, ZeroDivisionError):
+    """The rational of a "P/Q" or decimal text, the one reader of every
+    rational the CLI takes: flags, geometry files and ``--summand``
+    coefficients.  The text is matched once against ``_RATIONAL``, so
+    underscores and non-ASCII digits read as Python 3.11's ``Fraction`` reads
+    them, on every Python the package supports; every digit run is read by
+    ``_read_int``, so a text of any length reads, and every value
+    ``chow._digits`` prints reads back.  An exponent past +-``_MAX_EXPONENT``
+    is refused before any power is built."""
+    match = _RATIONAL.fullmatch(text)
+    if match:
+        sign, num, den, frac, exp_sign, exp = (part.replace("_", "") for part in match.groups(""))
+        den = _read_int(den or "1")
+    if not match or not den:
         raise argparse.ArgumentTypeError(f"not a rational P/Q: {_shown(text)}")
+    exponent = _read_int(exp or "0")
+    if exponent > _MAX_EXPONENT:
+        raise argparse.ArgumentTypeError(
+            f"exponent out of bounds (|e| <= {_MAX_EXPONENT}): {_shown(text)}"
+        )
+    shift = (-exponent if exp_sign == "-" else exponent) - len(frac)
+    num = _read_int(num + frac) * 10 ** max(shift, 0)
+    return Fraction(-num if sign == "-" else num, den * 10 ** max(-shift, 0))
 
 
 class _Record(NamedTuple):
@@ -267,29 +263,25 @@ def _parse_summand(spec: str, dim: int) -> WeightedSummand:
                 fields[key] = val
                 tail = None
             else:
-                raise ValueError(f"unknown summand field {key!r}")
+                raise ValueError(f"unknown summand field {_shown(key)}")
         else:
             if tail is None:
-                raise ValueError(f"stray token {token!r} in summand {spec!r}")
+                raise ValueError(f"stray token {_shown(token)} in summand {_shown(spec)}")
             tail.append(token)
     if ("segre" in fields) == ("chern" in fields):
         raise ValueError("each summand needs exactly one of segre=... or chern=...")
+    key = "segre" if "segre" in fields else "chern"
     try:
-        rank = int(fields.get("rank", 1))
-        weight = int(fields.get("weight", 1))
-        key = "segre" if "segre" in fields else "chern"
-        coeffs = [Fraction(c) for c in fields[key]]
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"malformed summand {spec!r}")
-    cls = TotalClass(dim, coeffs)
-    try:
+        rank, weight = int(fields.get("rank", 1)), int(fields.get("weight", 1))
+        coeffs = [_fraction(c) for c in fields[key]]
+        cls = TotalClass(dim, coeffs)
         if len(coeffs) > dim + 1:
             raise ValueError(f"--dim {dim} takes at most {dim + 1} coefficients")
         if key == "chern":
             return WeightedSummand.from_chern(cls, rank, weight)
         return WeightedSummand(cls, rank, weight)
-    except ValueError as exc:
-        raise ValueError(f"summand {spec!r}: {exc}")
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"summand {_shown(spec)}: {exc}")
 
 
 def _cmd_segre(args, inputs) -> _Record:

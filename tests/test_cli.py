@@ -2,13 +2,14 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wsegre.chow as chow
@@ -709,7 +710,8 @@ def test_fraction_reads_long_decimal_notation_exactly(text):
 
 @pytest.mark.parametrize("text", ["1e1000000000", "1E-1_000_000_000", "-7e+" + "9" * 5000])
 def test_exponent_past_the_bound_is_refused_before_any_power(capsys, tmp_path, text):
-    # 1e1000000000 would build a power of 10^9 digits, for hours
+    # 1e1000000000 would build a power of 10^9 digits, for hours; a flag, a
+    # geometry file and a summand coefficient each refuse it at once
     start = time.perf_counter()
     code, out, err = run(capsys, "bound", "--n", "2", "--k", "1", f"--kd-n={text}",
                          "--neg-dn=-1")
@@ -725,6 +727,12 @@ def test_exponent_past_the_bound_is_refused_before_any_power(capsys, tmp_path, t
     assert (code, out) == (1, "")
     assert err == f"error: {geom}:2: bad value for 'kd_n' in geometry file\n"
     assert time.perf_counter() - start < 2
+    spec = f"segre=1,{text}"
+    code, out, err = run(capsys, "segre", "--dim", "1", "--summand", spec)
+    assert (code, out) == (1, "")
+    assert err == (f"error: summand {_shown(spec)}: "
+                   f"exponent out of bounds (|e| <= 1000000): {_shown(text)}\n")
+    assert time.perf_counter() - start < 3
 
 
 def test_exponent_within_the_bound_reads_exactly():
@@ -739,4 +747,93 @@ def test_long_bad_input_is_shortened_in_the_error(capsys):
     assert (code, out) == (1, "")
     assert err.endswith("argument --kd-n: not a rational P/Q: "
                         "'77777777777777777777'... (5001 characters)\n")
+    assert len(err) < 400
+
+
+# ------------------------------------------------------------- one grammar
+#
+# _fraction reads what Fraction reads (with the int-to-string digit limit off),
+# in one grammar, at every length: ASCII and other scripts' decimal digits,
+# single underscores between digits, signs, "/", ".", exponents and
+# surrounding whitespace.
+
+DIGITS = "0123456789" "\u0660\u0661\u0662\u0667\u0669" "\u0966\u0968" "\uff10\uff11\uff17"
+SPACES = " \t\n\u3000"
+ALPHABET = DIGITS + SPACES + "+-_./eE"
+
+
+def _numeral():
+    # one to three digit runs joined by "_"; a run may pass 4300 digits
+    times = st.one_of(st.integers(1, 3), st.integers(700, 1200))
+    run = st.builds(str.__mul__, st.text(DIGITS, min_size=1, max_size=6), times)
+    return st.lists(run, min_size=1, max_size=3).map("_".join)
+
+
+@st.composite
+def _rational_texts(draw):
+    space = st.text(SPACES, max_size=2)
+    text = draw(space) + draw(st.sampled_from(["", "+", "-"])) + draw(_numeral())
+    form = draw(st.sampled_from(["integer", "ratio", "decimal"]))
+    if form == "ratio":
+        text += "/" + draw(_numeral())
+    elif form == "decimal":
+        if draw(st.booleans()):
+            text += "." + draw(st.one_of(st.just(""), _numeral()))
+        if draw(st.booleans()):
+            # at most six exponent digits: |e| < 10^6
+            exp = st.text(DIGITS, min_size=1, max_size=3)
+            text += (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                     + "_".join(draw(st.lists(exp, min_size=1, max_size=2))))
+    text += draw(space)
+    if draw(st.booleans()):  # one stray character, which may break the text
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(ALPHABET)) + text[at:]
+    return text
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=st.one_of(_rational_texts(), st.text(ALPHABET, max_size=24)))
+def test_fraction_reads_exactly_what_fraction_reads(text):
+    assume(not re.search(r"[eE][-+]?(?:\d_?){7}", text))  # |e| < 10^6
+    # The CLI reads Python 3.11's grammar on every version: 3.10's Fraction
+    # reads no underscore, and 3.12's also reads whitespace around "/".
+    if sys.version_info < (3, 11):
+        assume("_" not in text)
+    elif sys.version_info >= (3, 12):
+        assume(not re.search(r"\s/|/\s", text))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if expected is None:
+        with pytest.raises(argparse.ArgumentTypeError):
+            _fraction(text)
+    else:
+        assert _fraction(text) == expected
+
+
+def test_summand_coefficient_past_the_int_str_digit_limit_reads_back(capsys):
+    code, first, _ = run(capsys, "segre", "--dim", "1", "--format", "csv",
+                         "--summand", "segre=1," + "7" * 5000, "--summand", "segre=1,1/3")
+    assert code == 0
+    coeffs = [line.split(",")[1:3] for line in first.splitlines()[1:]]
+    assert max(len(num) for num, _ in coeffs) > sys.get_int_max_str_digits()
+    spec = "segre=" + ",".join(f"{num}/{den}" for num, den in coeffs)
+    assert run(capsys, "segre", "--dim", "1", "--format", "csv",
+               "--summand", spec) == (0, first, "")
+
+
+@pytest.mark.parametrize("spec", [
+    "segre=1," + "7" * 5000 + "x",
+    "k" * 5000 + "=1,segre=1",
+    "7" * 5000 + ",segre=1",
+], ids=["coefficient", "field", "stray token"])
+def test_long_bad_summand_is_shortened_in_the_error(capsys, spec):
+    code, out, err = run(capsys, "segre", "--dim", "1", "--summand", spec)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
     assert len(err) < 400

@@ -7,6 +7,9 @@ sources must therefore name a module of ``sys.stdlib_module_names``;
 relative imports stay inside the package and are skipped.  Every CLI call
 is a fresh process, so importing the CLI must not load ``dataclasses`` and
 the chain it pulls in (``inspect``, ``ast``, ``dis``, ``tokenize``, ...).
+The sources also parse as the oldest Python ``pyproject.toml`` declares
+(``requires-python = ">=3.10"``), so a newer syntax cannot slip in unseen
+while the suite runs on a newer interpreter.
 """
 
 import ast
@@ -15,6 +18,7 @@ import pathlib
 import subprocess
 import sys
 
+PYTHON_FLOOR = (3, 10)
 SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "wsegre").glob("*.py"))
 
 
@@ -35,6 +39,13 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_package_parses_as_the_declared_python_floor():
+    project = (SOURCES[0].parents[2] / "pyproject.toml").read_text()
+    assert f'requires-python = ">={PYTHON_FLOOR[0]}.{PYTHON_FLOOR[1]}"' in project
+    for path in SOURCES:
+        ast.parse(path.read_text(), filename=str(path), feature_version=PYTHON_FLOOR)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
