@@ -4,10 +4,11 @@ Subcommands expose the library computations with text, json, or csv output;
 ``verify`` runs the self-check suites.  Exit codes: 0 success, 1 usage or
 input error, 2 verification failure.  Results go to stdout, warnings to
 stderr.  Exact rationals cross the boundary as "P/Q" or decimal strings on
-input and as {"num", "den", "approx"} objects in json.  One reader serves the
-flags, geometry files and --summand coefficients: it reads underscores and
-any script's decimal digits, at any length and on every supported Python, and
-refuses a decimal exponent past 10^6 in absolute value.
+input and as {"num", "den", "approx"} objects in json.  One reader per kind
+reads every number of a flag, geometry file or --summand: integers in int's
+notation and size; rationals with underscores and any script's digits, at any
+length on every supported Python, and a decimal exponent of at most 10^6 in
+absolute value.  A refused text is named in the error, shortened if long.
 """
 
 from __future__ import annotations
@@ -75,6 +76,15 @@ def _shown(text: str) -> str:
     if 0 < sys.get_int_max_str_digits() < len(text):
         return f"{text[:checks._LEADING_DIGITS]!r}... ({len(text)} characters)"
     return repr(text)
+
+
+def _integer(text: str) -> int:
+    """``int(text)``, the one reader of every integer the CLI takes, with
+    argparse's message for a refused text, shown shortened when it is long."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
 
 
 def _fraction(text: str) -> Fraction:
@@ -192,11 +202,14 @@ def _scalar(command: str, inputs: dict, value: Fraction, warnings=()) -> _Record
 
 # Each input a subcommand takes as a flag ``--key`` (``_`` spelt ``-``) or,
 # for the fields of ``GeometryInput``, as a geometry-file line ``key = value``,
-# with the type that converts its text; flags are registered, and inputs
+# with the reader that converts its text; flags are registered, and inputs
 # resolved and echoed, in this order.
-_INPUTS = {"n": int, "k": int, "m": int, "kd_n": _fraction, "neg_dn": _fraction, "components": int}
-# The fields of ``GeometryInput``; ``GeometryInput._field_defaults`` holds their defaults.
+_INPUTS = {"n": _integer, "k": _integer, "m": _integer, "kd_n": _fraction, "neg_dn": _fraction,
+           "components": _integer, "k_max": _integer, "dim": _integer}
+# The fields of ``GeometryInput``, the keys a geometry file may set.
 _GEOMETRY = bounds.GeometryInput._fields
+# The value of an input that neither its flag nor the geometry file sets.
+_DEFAULTS = {**bounds.GeometryInput._field_defaults, "k_max": 50}
 
 
 def _read_geometry_file(path: str) -> dict:
@@ -222,8 +235,8 @@ def _read_geometry_file(path: str) -> dict:
                     raise ValueError(f"{where} repeated key {key!r}")
                 try:
                     values[key] = _INPUTS[key](val.strip())
-                except (ValueError, argparse.ArgumentTypeError):
-                    raise ValueError(f"{where} bad value for {key!r} in geometry file")
+                except argparse.ArgumentTypeError as exc:
+                    raise ValueError(f"{where} bad value for {key!r} in geometry file: {exc}")
     except OSError as exc:
         raise ValueError(f"cannot read geometry file: {exc}")
     return values
@@ -231,14 +244,14 @@ def _read_geometry_file(path: str) -> dict:
 
 def _resolve_inputs(args) -> dict:
     """Each input the subcommand declares, in ``_INPUTS`` order, from its flag,
-    else from the geometry file, else from its ``GeometryInput`` default; an
-    optional input with no value is left out."""
+    else from the geometry file, else from ``_DEFAULTS``; an optional input
+    with no value is left out."""
     given = _read_geometry_file(args.geometry) if getattr(args, "geometry", None) else {}
     inputs = {}
     for key, required in args.inputs.items():
         val = getattr(args, key)
         if val is None:
-            val = given.get(key, bounds.GeometryInput._field_defaults.get(key))
+            val = given.get(key, _DEFAULTS.get(key))
         if val is not None:
             inputs[key] = val
         elif required:
@@ -272,7 +285,7 @@ def _parse_summand(spec: str, dim: int) -> WeightedSummand:
         raise ValueError("each summand needs exactly one of segre=... or chern=...")
     key = "segre" if "segre" in fields else "chern"
     try:
-        rank, weight = int(fields.get("rank", 1)), int(fields.get("weight", 1))
+        rank, weight = _integer(fields.get("rank", "1")), _integer(fields.get("weight", "1"))
         coeffs = [_fraction(c) for c in fields[key]]
         cls = TotalClass(dim, coeffs)
         if len(coeffs) > dim + 1:
@@ -285,15 +298,10 @@ def _parse_summand(spec: str, dim: int) -> WeightedSummand:
 
 
 def _cmd_segre(args, inputs) -> _Record:
-    summands = [_parse_summand(spec, args.dim) for spec in args.summand]
+    summands = [_parse_summand(spec, inputs["dim"]) for spec in args.summand]
     result = segre_of_weighted_sum(summands)
-    echo = {
-        "dim": args.dim,
-        "summands": [
-            {"rank": s.rank, "weight": s.weight, "segre": s.segre.coeffs}
-            for s in summands
-        ],
-    }
+    echo = {**inputs, "summands": [{"rank": s.rank, "weight": s.weight, "segre": s.segre.coeffs}
+                                   for s in summands]}
     return _Record("segre", echo, {"coeffs": result.coeffs},
                    ("degree", "num", "den", "approx"), enumerate(result.coeffs), [result])
 
@@ -352,9 +360,9 @@ def _cmd_boundary(args, inputs) -> _Record:
 
 def _cmd_minorder(args, inputs) -> _Record:
     geometry = bounds.GeometryInput(*map(inputs.get, _GEOMETRY))
-    found = bounds.find_min_k(geometry, args.k_max)
-    return _Record("minorder", {**inputs, "k_max": args.k_max}, {"min_k": found},
-                   ("n", "k_max", "min_k"), [(geometry.n, args.k_max, found)],
+    found = bounds.find_min_k(geometry, inputs["k_max"])
+    return _Record("minorder", inputs, {"min_k": found},
+                   ("n", "k_max", "min_k"), [(geometry.n, inputs["k_max"], found)],
                    ["none" if found is None else found], geometry.warnings)
 
 
@@ -397,8 +405,7 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func, inputs=inputs)
         return p
 
-    p = add("segre", _cmd_segre, "Segre class of a weighted direct sum")
-    p.add_argument("--dim", type=int, required=True)
+    p = add("segre", _cmd_segre, "Segre class of a weighted direct sum", ("dim",))
     p.add_argument("--summand", action="append", required=True,
                    metavar="rank=R,weight=A,segre=1,s1,...",
                    help="repeatable; accepts segre=... or chern=...")
@@ -411,9 +418,8 @@ def build_parser() -> _Parser:
     add("ranks", _cmd_ranks, "rank of a graded jet piece", ("n", "k", "m"))
     add("boundary", _cmd_boundary, "exact boundary section count",
         ("n", "k", "m", "neg_dn"), ("components",))
-    p = add("minorder", _cmd_minorder, "smallest order with a positive bound",
-            ("n", "kd_n", "neg_dn"), ("components",), geometry=True)
-    p.add_argument("--k-max", type=int, default=50)
+    add("minorder", _cmd_minorder, "smallest order with a positive bound",
+        ("n", "kd_n", "neg_dn"), ("components", "k_max"), geometry=True)
     p = add("verify", _cmd_verify, "run the self-check suites")
     p.add_argument("--suite", choices=(*checks.SUITE_NAMES, "all"), default="all")
     p.add_argument("--fast", action="store_true")
