@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import wsegre.chow as chow
 from wsegre.bounds import GeometryInput, logarithmic_volume, volume_lower_bound
-from wsegre.cli import _fraction, _shown, build_parser, main
+from wsegre.cli import _fraction, _integer, _shown, build_parser, main
 
 
 def run(capsys, *argv):
@@ -505,30 +505,30 @@ def test_every_subcommand_has_a_contract_case():
 FORMAT = ("--format", "format", None, False, "text")
 # every subcommand's flags in order: option string, dest, type, required, default
 FLAGS = {
-    "segre": [FORMAT, ("--dim", "dim", int, True, None),
+    "segre": [FORMAT, ("--dim", "dim", _integer, True, None),
               ("--summand", "summand", None, True, None)],
-    "volume": [FORMAT, ("--n", "n", int, False, None), ("--k", "k", int, True, None),
+    "volume": [FORMAT, ("--n", "n", _integer, False, None), ("--k", "k", _integer, True, None),
                ("--kd-n", "kd_n", _fraction, False, None),
                ("--geometry", "geometry", None, False, None)],
-    "bound": [FORMAT, ("--n", "n", int, False, None), ("--k", "k", int, True, None),
+    "bound": [FORMAT, ("--n", "n", _integer, False, None), ("--k", "k", _integer, True, None),
               ("--kd-n", "kd_n", _fraction, False, None),
               ("--neg-dn", "neg_dn", _fraction, False, None),
-              ("--components", "components", int, False, None),
+              ("--components", "components", _integer, False, None),
               ("--geometry", "geometry", None, False, None)],
-    "threshold": [FORMAT, ("--n", "n", int, True, None),
+    "threshold": [FORMAT, ("--n", "n", _integer, True, None),
                   ("--neg-dn", "neg_dn", _fraction, False, None)],
     "table1": [FORMAT],
-    "ranks": [FORMAT, ("--n", "n", int, True, None), ("--k", "k", int, True, None),
-              ("--m", "m", int, True, None)],
-    "boundary": [FORMAT, ("--n", "n", int, True, None), ("--k", "k", int, True, None),
-                 ("--m", "m", int, True, None), ("--neg-dn", "neg_dn", _fraction, True, None),
-                 ("--components", "components", int, False, None)],
-    "minorder": [FORMAT, ("--n", "n", int, False, None),
+    "ranks": [FORMAT, ("--n", "n", _integer, True, None), ("--k", "k", _integer, True, None),
+              ("--m", "m", _integer, True, None)],
+    "boundary": [FORMAT, ("--n", "n", _integer, True, None), ("--k", "k", _integer, True, None),
+                 ("--m", "m", _integer, True, None), ("--neg-dn", "neg_dn", _fraction, True, None),
+                 ("--components", "components", _integer, False, None)],
+    "minorder": [FORMAT, ("--n", "n", _integer, False, None),
                  ("--kd-n", "kd_n", _fraction, False, None),
                  ("--neg-dn", "neg_dn", _fraction, False, None),
-                 ("--components", "components", int, False, None),
-                 ("--geometry", "geometry", None, False, None),
-                 ("--k-max", "k_max", int, False, 50)],
+                 ("--components", "components", _integer, False, None),
+                 ("--k-max", "k_max", _integer, False, None),
+                 ("--geometry", "geometry", None, False, None)],
     "verify": [FORMAT, ("--suite", "suite", None, False, "all"),
                ("--fast", "fast", None, False, False)],
 }
@@ -725,7 +725,8 @@ def test_exponent_past_the_bound_is_refused_before_any_power(capsys, tmp_path, t
     geom.write_text(f"n = 2\nkd_n = {text}\nneg_dn = -1\n")
     code, out, err = run(capsys, "bound", "--k", "1", "--geometry", str(geom))
     assert (code, out) == (1, "")
-    assert err == f"error: {geom}:2: bad value for 'kd_n' in geometry file\n"
+    assert err == (f"error: {geom}:2: bad value for 'kd_n' in geometry file: "
+                   f"exponent out of bounds (|e| <= 1000000): {_shown(text)}\n")
     assert time.perf_counter() - start < 2
     spec = f"segre=1,{text}"
     code, out, err = run(capsys, "segre", "--dim", "1", "--summand", spec)

@@ -110,7 +110,8 @@ def test_a_flag_does_not_hide_a_bad_geometry_value(tmp_path, capsys):
     path.write_text("n = 2\nkd_n = 9/0\nneg_dn = -1\n")
     assert main(["bound", "--k", "1", "--kd-n", "9", "--geometry", str(path)]) == 1
     out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: {path}:2: bad value for 'kd_n' in geometry file\n")
+    assert (out, err) == ("", f"error: {path}:2: bad value for 'kd_n' in geometry file: "
+                              "not a rational P/Q: '9/0'\n")
 
 
 def test_unreadable_geometry_file(tmp_path):
