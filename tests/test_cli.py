@@ -601,8 +601,8 @@ def test_invalid_input_to_every_subcommand_reports_without_a_traceback(capsys):
 # ------------------------------------------------------------ resolved inputs
 #
 # json "inputs" echoes each declared input as resolved: from its flag, else the
-# geometry file, else its GeometryInput default, in the order n, k, m, kd_n,
-# neg_dn, components.
+# geometry file, else its default, in the order n, k, m, kd_n, neg_dn,
+# components, k_max, dim.
 
 def test_boundary_echoes_the_default_component_count(capsys):
     code, out, _ = run(capsys, "boundary", "--n", "2", "--k", "2", "--m", "4",
@@ -631,6 +631,20 @@ def test_flag_value_is_echoed_over_the_file_value(capsys, tmp_path):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["inputs"]["kd_n"] == {"num": "5", "den": "1", "approx": 5.0}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_minorder_echoes_the_default_order_bound(capsys, fmt):
+    code, out, _ = run(capsys, "minorder", "--n", "2", "--kd-n", "9", "--neg-dn=-8",
+                       "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        inputs = json.loads(out)["inputs"]
+        assert list(inputs) == ["n", "kd_n", "neg_dn", "components", "k_max"]
+        assert inputs["k_max"] == 50
+    else:
+        header, row = out.splitlines()
+        assert (header, row.split(",")[:2]) == ("n,k_max,min_k", ["2", "50"])
 
 
 def test_threshold_echoes_a_given_boundary_number(capsys):
@@ -749,6 +763,30 @@ def test_long_bad_input_is_shortened_in_the_error(capsys):
     assert err.endswith("argument --kd-n: not a rational P/Q: "
                         "'77777777777777777777'... (5001 characters)\n")
     assert len(err) < 400
+
+
+def test_bad_integer_flag_keeps_the_message_of_int(capsys):
+    code, out, err = run(capsys, "volume", "--n", "x", "--k", "1", "--kd-n", "1")
+    assert (code, out) == (1, "")
+    assert err.endswith("wsegre volume: error: argument --n: invalid int value: 'x'\n")
+
+
+def test_long_bad_integer_is_shortened_in_the_error(capsys):
+    code, out, err = run(capsys, "volume", "--n", "x" + "7" * 5000, "--k", "1", "--kd-n", "1")
+    assert (code, out) == (1, "")
+    assert err.endswith("argument --n: invalid int value: "
+                        "'x7777777777777777777'... (5001 characters)\n")
+    assert len(err) < 400
+
+
+def test_summand_integer_past_the_digit_limit_is_refused_by_wsegre(capsys):
+    spec = f"rank={'7' * 5000},segre=1,1"
+    code, out, err = run(capsys, "segre", "--dim", "1", "--summand", spec)
+    assert (code, out) == (1, "")
+    assert err == (f"error: summand {_shown(spec)}: invalid int value: "
+                   "'77777777777777777777'... (5000 characters)\n")
+    assert len(err) < 400
+    assert "set_int_max_str_digits" not in err
 
 
 # ------------------------------------------------------------- one grammar

@@ -91,6 +91,10 @@ GEOMETRY_FILES = {
     "line without =": ("n = 2\nkd_n 9\n", ":2: expected 'key = value'"),
     "unknown key": ("n = 2\ncomponent = 2\n", ":2: unknown key 'component'"),
     "bad value": ("n = 2\nkd_n = 9/0\n", "bad value for 'kd_n' in geometry file"),
+    "bad integer": ("n = 2x\n", ":1: bad value for 'n' in geometry file: invalid int value: '2x'"),
+    "exponent past the bound": ("n = 2\nkd_n = 1e1000000000\n",
+                                ":2: bad value for 'kd_n' in geometry file: "
+                                "exponent out of bounds (|e| <= 1000000): '1e1000000000'"),
     "repeated key": ("n = 2\nkd_n = 9\n# again\nn = 3\n", ":4: repeated key 'n'"),
 }
 
